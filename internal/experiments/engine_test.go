@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fomodel/internal/workload"
 )
 
 func TestRunOrderedEmitsInOrder(t *testing.T) {
@@ -235,6 +237,33 @@ func TestWorkloadCachesErrors(t *testing.T) {
 	}
 	if computes, _ := s.Counters(); computes != 1 {
 		t.Fatalf("failed computation ran %d times, want 1 (errors are cached)", computes)
+	}
+}
+
+// TestSuiteWorkloadCacheBounded resolves more registered workloads, at
+// the suite's own n and seed, than the workload cache may hold, and
+// checks the cache never grows past its bound.
+func TestSuiteWorkloadCacheBounded(t *testing.T) {
+	base, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite(2000, 1)
+	s.Lookup = func(name string) (workload.Profile, string, bool) {
+		prof := base
+		prof.Name = name
+		return prof, name, true
+	}
+	for i := 0; i < maxCachedWorkloads+8; i++ {
+		if _, err := s.Workload(fmt.Sprintf("custom-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.cache.Len(); n > maxCachedWorkloads {
+			t.Fatalf("after %d registered workloads the suite caches %d, bound %d", i+1, n, maxCachedWorkloads)
+		}
+	}
+	if computes, _ := s.Counters(); computes != maxCachedWorkloads+8 {
+		t.Errorf("%d workload computations, want one per name (%d)", computes, maxCachedWorkloads+8)
 	}
 }
 

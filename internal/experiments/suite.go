@@ -15,6 +15,7 @@ import (
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/core"
+	"fomodel/internal/flight"
 	"fomodel/internal/iw"
 	"fomodel/internal/metrics"
 	"fomodel/internal/stats"
@@ -25,9 +26,11 @@ import (
 
 // Suite owns the shared experiment inputs: the benchmark list, trace
 // length, seed, and the baseline machine. Workload analyses are computed
-// once and cached; the cache is safe for concurrent use and single-flight
-// — concurrent requests for the same benchmark block on one computation
-// and share its result.
+// once and cached in a bounded single-flight LRU (flight.Cache, at most
+// maxCachedWorkloads entries) — concurrent requests for the same
+// benchmark block on one computation and share its result. Errors are
+// cached too: the computation is deterministic, so retrying cannot
+// change the result.
 type Suite struct {
 	// N is the dynamic instruction count per workload.
 	N int
@@ -59,8 +62,7 @@ type Suite struct {
 	// call — it is read without synchronization.
 	Lookup func(name string) (workload.Profile, string, bool)
 
-	mu    sync.Mutex
-	cache map[string]*workloadEntry
+	cache *flight.Cache[string, *Workload]
 	// preps memoizes the simulator's classification pass and producer
 	// links across configs (see uarch.PrepCache); multi-config studies
 	// share one functional pass per distinct classification key.
@@ -73,15 +75,11 @@ type Suite struct {
 	simRuns          metrics.Counter
 }
 
-// workloadEntry is one single-flight cache slot: the first caller runs
-// the computation inside once, every later or concurrent caller blocks on
-// it and shares the outcome. Errors are cached too — the computation is
-// deterministic, so retrying cannot change the result.
-type workloadEntry struct {
-	once sync.Once
-	w    *Workload
-	err  error
-}
+// maxCachedWorkloads bounds the suite's workload cache. It sits well
+// above the twelve built-in benchmarks, so report runs never evict, while
+// registered custom workloads — each pinning a full trace bundle — cannot
+// grow the cache without limit.
+const maxCachedWorkloads = 64
 
 // Workload bundles one benchmark's trace and every derived analysis the
 // experiments consume.
@@ -106,7 +104,7 @@ func NewSuite(n int, seed uint64) *Suite {
 		Names:   workload.Names(),
 		Machine: m,
 		Sim:     sim,
-		cache:   make(map[string]*workloadEntry),
+		cache:   flight.New[string, *Workload](maxCachedWorkloads, flight.KeepErrors),
 		preps:   uarch.NewPrepCache(),
 	}
 }
@@ -167,39 +165,31 @@ func (s *Suite) Workload(name string) (*Workload, error) {
 			key = name + "\x00" + hash
 		}
 	}
-	s.mu.Lock()
-	e, ok := s.cache[key]
-	if !ok {
-		e = &workloadEntry{}
-		s.cache[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
+	w, _, err := s.cache.Do(key, func() (*Workload, error) {
 		s.workloadComputes.Inc()
 		start := time.Now()
+		var w *Workload
+		var err error
 		if custom != nil {
-			e.w, e.err = s.computeCustomWorkload(*custom)
+			w, err = s.computeCustomWorkload(*custom)
 		} else {
-			e.w, e.err = s.computeWorkload(name)
+			w, err = s.computeWorkload(name)
 		}
 		s.Timings.Record("workload", name, time.Since(start))
+		return w, err
 	})
-	return e.w, e.err
+	return w, err
 }
 
 // Forget drops name's cached analysis bundles — both the built-in slot
 // and any content-hashed custom slots — so a deleted or re-registered
 // workload cannot be served from the suite cache. In-flight
-// computations complete on their orphaned entries and are discarded.
+// computations complete for their waiters and are discarded.
 func (s *Suite) Forget(name string) {
 	prefix := name + "\x00"
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key := range s.cache {
-		if key == name || strings.HasPrefix(key, prefix) {
-			delete(s.cache, key)
-		}
-	}
+	s.cache.DeleteFunc(func(key string) bool {
+		return key == name || strings.HasPrefix(key, prefix)
+	})
 }
 
 // KnowsWorkload reports whether name resolves to a built-in profile or

@@ -1,156 +1,64 @@
 package server
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"net/http"
 
-	"fomodel/internal/metrics"
+	"fomodel/internal/flight"
 )
 
 // respCache is the daemon's canonical-request response cache: finished
-// response bodies keyed by the canonicalized request, bounded LRU, with
-// single-flight admission — concurrent requests for the same key block
-// on one computation and share its bytes. It layers on top of the
+// response bodies keyed by the canonicalized request, on a flight.Cache
+// with the ForgetErrors policy — concurrent requests for the same key
+// block on one computation and share its bytes. It layers on top of the
 // simulator's prep cache: a response hit skips everything, a response
 // miss still reuses cached classification passes underneath.
 //
-// Only successful (HTTP 200) responses are retained; errors and non-200
-// statuses are delivered to every request already waiting on the entry
-// (shared fate, like singleflight) and then forgotten, so a canceled or
-// failed computation never poisons later requests. Three invariants the
-// regression tests pin:
-//
-//   - Joining a computation that finishes in an error is shared fate,
-//     not a cache hit: the hit counter only moves for retained 200s.
-//   - A failing entry is removed from the map and the LRU list under
-//     the lock *before* its waiters wake, so no request can find (or
-//     MoveToFront) an entry that is about to be forgotten.
-//   - Eviction only considers finished entries: an in-flight entry may
-//     have requests blocked on it, and dropping it would strand a
-//     duplicate computation, so capacity may be transiently exceeded by
-//     the number of in-flight computations (bounded by the admission
-//     limiter) but a waiter can never be detached from its entry.
+// Only HTTP 200 responses are retained: errors and non-200 statuses are
+// delivered to every request already waiting on the entry and then
+// forgotten, so a canceled or failed computation never poisons later
+// requests, and joining one is not a hit.
 type respCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*respEntry
-	order   *list.List // front = most recently used
-
-	hits, misses metrics.Counter
+	c *flight.Cache[string, response]
 }
 
-type respEntry struct {
-	key  string
-	elem *list.Element
-	done chan struct{}
-
-	// finished is set under the cache mutex once compute returned and
-	// the entry's fate (retain or forget) was decided; eviction skips
-	// entries that are not yet finished.
-	finished bool
-
+type response struct {
 	status int
 	body   []byte
-	err    error
 }
 
-func newRespCache(capacity int) *respCache {
-	return &respCache{
-		cap:     capacity,
-		entries: make(map[string]*respEntry),
-		order:   list.New(),
-	}
+// unretained carries a non-200 response through the cache as a failure,
+// so it is shared with waiters but never retained.
+type unretained struct{ response }
+
+func (u *unretained) Error() string { return fmt.Sprintf("status %d", u.status) }
+
+func newRespCache(capacity int) respCache {
+	return respCache{flight.New[string, response](capacity, flight.ForgetErrors)}
 }
 
 // Do returns the cached response for key, or runs compute once and
-// caches its result. hit reports whether the response came from the
-// cache or from joining an in-flight computation that succeeded — in
-// both cases the request performed no work of its own and received
-// retained bytes. Joining a computation that fails shares its outcome
-// but is not counted as a hit. A panicking compute is converted into an
-// error so waiters are released and the entry forgotten rather than
-// blocking forever.
-func (c *respCache) Do(key string, compute func() (status int, body []byte, err error)) (status int, body []byte, hit bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.order.MoveToFront(e.elem)
-		c.mu.Unlock()
-		<-e.done
-		if e.err == nil && e.status == 200 {
-			c.hits.Inc()
-			return e.status, e.body, true, e.err
+// caches its result. hit reports whether retained bytes were served
+// without running compute. A panicking compute becomes an error.
+func (c respCache) Do(key string, compute func() (status int, body []byte, err error)) (status int, body []byte, hit bool, err error) {
+	r, hit, err := c.c.Do(key, func() (response, error) {
+		status, body, err := compute()
+		if err == nil && status != http.StatusOK {
+			return response{}, &unretained{response{status, body}}
 		}
-		// Shared fate with a failed computation: the joiner performed no
-		// work, but nothing was served "from the cache" either.
-		return e.status, e.body, false, e.err
+		return response{status, body}, err
+	})
+	if u, ok := err.(*unretained); ok {
+		return u.status, u.body, false, nil
 	}
-	e := &respEntry{key: key, done: make(chan struct{})}
-	e.elem = c.order.PushFront(e)
-	c.entries[key] = e
-	c.evictLocked()
-	c.mu.Unlock()
-
-	c.misses.Inc()
-	status, body, err = safeCompute(compute)
-
-	// Decide the entry's fate under the lock before waking waiters:
-	// once done is closed, a lookup can never observe a failed entry,
-	// because failures leave the map within this same critical section.
-	c.mu.Lock()
-	e.status, e.body, e.err = status, body, err
-	e.finished = true
-	if err != nil || status != 200 {
-		if c.entries[key] == e {
-			c.order.Remove(e.elem)
-			delete(c.entries, key)
-		}
-	} else {
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.done)
-	return status, body, false, err
-}
-
-// safeCompute runs compute, converting a panic into an error so a
-// panicking handler computation degrades to a 500 instead of leaving
-// cache waiters blocked forever (net/http would swallow the panic but
-// nothing would ever close the entry's done channel).
-func safeCompute(compute func() (int, []byte, error)) (status int, body []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			status, body = 0, nil
-			err = fmt.Errorf("internal panic: %v", r)
-		}
-	}()
-	return compute()
-}
-
-// evictLocked trims the cache toward capacity, least-recently-used
-// first, skipping entries whose computation has not finished: those may
-// have requests blocked on their done channel, and every entry in the
-// map must remain reachable until its fate is decided.
-func (c *respCache) evictLocked() {
-	for elem := c.order.Back(); elem != nil && len(c.entries) > c.cap; {
-		prev := elem.Prev()
-		e := elem.Value.(*respEntry)
-		if e.finished {
-			c.order.Remove(elem)
-			delete(c.entries, e.key)
-		}
-		elem = prev
-	}
+	return r.status, r.body, hit, err
 }
 
 // Len returns the number of cached entries (including in-flight ones).
-func (c *respCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c respCache) Len() int { return c.c.Len() }
 
 // Stats returns the hit and miss counts.
-func (c *respCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
+func (c respCache) Stats() (hits, misses int64) {
+	st := c.c.Stats()
+	return st.Hits.Load(), st.Misses.Load()
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +18,7 @@ import (
 
 	"fomodel/internal/artifact"
 	"fomodel/internal/experiments"
+	"fomodel/internal/flight"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
 	"fomodel/internal/trace"
@@ -96,8 +96,9 @@ type Server struct {
 	cfg   Config
 	log   *slog.Logger
 	suite *experiments.Suite
-	cache *respCache
+	cache respCache
 	start time.Time
+	mux   *http.ServeMux
 
 	inflight metrics.Gauge
 	shed     metrics.Counter
@@ -115,13 +116,13 @@ type Server struct {
 
 	// traces is the bounded LRU of non-default traces, keyed by content
 	// ID (recipe for built-ins, profile content hash + recipe for
-	// registered workloads); analysis holds the in-memory analysis
-	// bundles keyed by content.
-	traceMu        sync.Mutex
-	traces         map[string]*traceEntry
-	traceOrder     *list.List // front = most recently used
-	traceEvictions metrics.Counter
-	analysis       *analysisCache
+	// registered workloads). analysis holds the in-memory analysis
+	// bundles keyed by content — the trace's generation recipe plus the
+	// machine configuration projection — so any two requests that need
+	// the same analysis share one computation. Both forget failures.
+	traces         *flight.Cache[string, *trace.Trace]
+	traceEvictions *metrics.Counter
+	analysis       *flight.Cache[string, *experiments.AnalysisArtifact]
 
 	// Per-registered-workload request/hit accounting, keyed by workload
 	// name; populated only for names present in the registry, so the
@@ -153,17 +154,6 @@ type requestKey struct {
 	code int
 }
 
-type traceEntry struct {
-	key  string // content ID
-	elem *list.Element
-	once sync.Once
-	// finished is set under traceMu after once completed; eviction skips
-	// unfinished entries so a waiter is never detached from its entry.
-	finished bool
-	t        *trace.Trace
-	err      error
-}
-
 // New builds a server. A nil logger discards logs.
 func New(cfg Config, log *slog.Logger) *Server {
 	cfg = cfg.withDefaults()
@@ -177,7 +167,7 @@ func New(cfg Config, log *slog.Logger) *Server {
 		cfg.Registry = registry.New(registry.Config{Store: cfg.Store})
 	}
 	suite.Lookup = cfg.Registry.Snapshot
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		log:         log,
 		suite:       suite,
@@ -186,12 +176,17 @@ func New(cfg Config, log *slog.Logger) *Server {
 		latency:     metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
 		slots:       make(chan struct{}, cfg.MaxInflight),
 		requests:    make(map[requestKey]*metrics.Counter),
-		traces:      make(map[string]*traceEntry),
-		traceOrder:  list.New(),
-		analysis:    newAnalysisCache(cfg.AnalysisCacheEntries),
+		traces:      flight.New[string, *trace.Trace](cfg.TraceCacheEntries, flight.ForgetErrors),
+		analysis:    flight.New[string, *experiments.AnalysisArtifact](cfg.AnalysisCacheEntries, flight.ForgetErrors),
 		regRequests: make(map[string]*metrics.Counter),
 		regHits:     make(map[string]*metrics.Counter),
 	}
+	s.traceEvictions = &s.traces.Stats().Evictions
+	// An evicted trace is about to become unreachable, so the prep-cache
+	// entries keyed to it could never be hit again: release them.
+	s.traces.OnEvict = func(_ string, t *trace.Trace) { suite.Preps().Forget(t) }
+	s.mux = s.routes()
+	return s
 }
 
 // Warm precomputes every default workload bundle, filling the suite's
@@ -210,10 +205,13 @@ func (s *Server) Warm(ctx context.Context) error {
 	return nil
 }
 
-// Handler returns the daemon's routing table. /v1 endpoints pass through
-// admission control (in-flight bound with 429 shedding) and carry a
-// per-request deadline; /healthz and /metrics always answer.
-func (s *Server) Handler() http.Handler {
+// Handler returns the daemon's routing table, built once by New. /v1
+// endpoints pass through admission control (in-flight bound with 429
+// shedding) and carry a per-request deadline; /healthz and /metrics
+// always answer.
+func (s *Server) Handler() http.Handler { return s.mux }
+
+func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", true, s.handlePredict))
 	mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", true, s.handleBatch))
@@ -466,65 +464,17 @@ func (s *Server) traceFor(rw resolvedWorkload) (*trace.Trace, error) {
 		}
 		return w.Trace, nil
 	}
-	k := rw.contentID
-	s.traceMu.Lock()
-	e, ok := s.traces[k]
-	if ok {
-		s.traceOrder.MoveToFront(e.elem)
-	} else {
-		e = &traceEntry{key: k}
-		e.elem = s.traceOrder.PushFront(e)
-		s.traces[k] = e
-		s.evictTracesLocked()
-	}
-	s.traceMu.Unlock()
-	e.once.Do(func() {
+	t, _, err := s.traces.Do(rw.contentID, func() (*trace.Trace, error) {
 		if rw.prof != nil {
-			e.t, e.err = experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed)
-		} else {
-			e.t, e.err = experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed)
+			return experiments.LoadOrGenerateProfileTrace(s.cfg.Store, *rw.prof, rw.n, rw.seed)
 		}
-		s.traceMu.Lock()
-		e.finished = true
-		if e.err != nil && s.traces[k] == e {
-			// Failed loads leave the cache immediately so they cannot
-			// occupy capacity; waiters already joined on once share the
-			// error regardless.
-			s.traceOrder.Remove(e.elem)
-			delete(s.traces, k)
-		}
-		s.traceMu.Unlock()
+		return experiments.LoadOrGenerateTrace(s.cfg.Store, rw.bench, rw.n, rw.seed)
 	})
-	return e.t, e.err
-}
-
-// evictTracesLocked trims the trace cache toward capacity, least
-// recently used first, skipping in-flight entries (a waiter may be
-// blocked on them). Each evicted trace releases its prep-cache entries:
-// the trace is about to become unreachable, so preps keyed to it could
-// never be hit again.
-func (s *Server) evictTracesLocked() {
-	for elem := s.traceOrder.Back(); elem != nil && len(s.traces) > s.cfg.TraceCacheEntries; {
-		prev := elem.Prev()
-		e := elem.Value.(*traceEntry)
-		if e.finished {
-			s.traceOrder.Remove(elem)
-			delete(s.traces, e.key)
-			s.traceEvictions.Inc()
-			if e.t != nil {
-				s.suite.Preps().Forget(e.t)
-			}
-		}
-		elem = prev
-	}
+	return t, err
 }
 
 // traceCacheLen reports the dedicated trace cache's current size.
-func (s *Server) traceCacheLen() int {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return len(s.traces)
-}
+func (s *Server) traceCacheLen() int { return s.traces.Len() }
 
 // healthzResponse is the /healthz body.
 type healthzResponse struct {
@@ -638,11 +588,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_passes_total Classification passes computed.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_passes_total counter\n")
 	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries evicted by the LRU bound or trace eviction.\n")
+	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries (classification passes and producer-link sets) evicted by the LRU bounds.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions())
+	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions().Load())
 	prepEntries, prodEntries := s.suite.Preps().Len()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes currently cached.\n")
+	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes plus per-trace producer-link sets currently cached.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")
 	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", prepEntries+prodEntries)
 
@@ -653,7 +603,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE fomodeld_trace_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "fomodeld_trace_cache_evictions_total %d\n", s.traceEvictions.Load())
 
-	anHits, anMisses := s.analysis.Stats()
+	anStats := s.analysis.Stats()
+	anHits, anMisses := anStats.Hits.Load(), anStats.Misses.Load()
 	fmt.Fprintf(w, "# HELP fomodeld_analysis_cache_hits_total Predict analyses served from the in-memory content-keyed cache.\n")
 	fmt.Fprintf(w, "# TYPE fomodeld_analysis_cache_hits_total counter\n")
 	fmt.Fprintf(w, "fomodeld_analysis_cache_hits_total %d\n", anHits)

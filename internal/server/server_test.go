@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -349,6 +350,37 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nexposition:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsSamplesNumeric scrapes /metrics from a server that has
+// served traffic through every cache and the artifact store, and checks
+// that every sample's value parses as a float — so a counter handed to
+// the exposition by pointer, say, cannot print a Go value again.
+func TestMetricsSamplesNumeric(t *testing.T) {
+	s := testServer(Config{Store: openTestStore(t, t.TempDir())})
+	for _, body := range storeRequests {
+		if rec := post(s, "/v1/predict", body); rec.Code != http.StatusOK {
+			t.Fatalf("predict %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	rec := get(s, "/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status = %d", rec.Code)
+	}
+	samples := 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples++
+		i := strings.LastIndexByte(line, ' ')
+		if _, err := strconv.ParseFloat(line[i+1:], 64); i < 0 || err != nil {
+			t.Errorf("sample value does not parse as a float: %q", line)
+		}
+	}
+	if samples == 0 {
+		t.Fatal("/metrics exposed no samples")
 	}
 }
 
