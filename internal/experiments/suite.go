@@ -232,13 +232,7 @@ func (s *Suite) computeCustomWorkload(prof workload.Profile) (*Workload, error) 
 // analyzeTrace runs the shared analysis tail: IW characteristic,
 // power-law fit, miss statistics, and model inputs.
 func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
-	scfg := stats.DefaultConfig()
-	scfg.Hierarchy = s.Sim.Hierarchy
-	scfg.PredictorBits = s.Sim.PredictorBits
-	scfg.Latencies = s.Sim.Latencies
-	scfg.ROBSize = s.Machine.ROBSize
-	scfg.Warmup = s.Sim.Warmup
-	an, err := ComputeAnalysis(s.Store, t, iw.DefaultWindows(), scfg)
+	an, err := ComputeAnalysis(s.Store, t, iw.DefaultWindows(), statsConfig(s.Sim, s.Machine.ROBSize))
 	if err != nil {
 		return nil, err
 	}
@@ -254,6 +248,18 @@ func (s *Suite) analyzeTrace(name string, t *trace.Trace) (*Workload, error) {
 		Summary: an.Summary,
 		Inputs:  inputs,
 	}, nil
+}
+
+// statsConfig is the functional-analysis configuration matching the
+// simulator configuration c, with rob as the long-miss grouping horizon.
+func statsConfig(c uarch.Config, rob int) stats.Config {
+	scfg := stats.DefaultConfig()
+	scfg.Hierarchy = c.Hierarchy
+	scfg.PredictorBits = c.PredictorBits
+	scfg.Latencies = c.Latencies
+	scfg.ROBSize = rob
+	scfg.Warmup = c.Warmup
+	return scfg
 }
 
 // Warm computes any uncached workload analyses concurrently, bounded by

@@ -76,25 +76,55 @@ type SweepSpec struct {
 	Values []int `json:"values"`
 }
 
-// sweepCell computes one (benchmark, value) grid cell.
-type sweepCell func(s *Suite, w *Workload, v int) (SweepPoint, error)
+// sweepParam is one supported sweep dimension.
+type sweepParam struct {
+	// apply sets the swept value on the model machine and the simulator
+	// configuration alike; grid cells and ValidateFor both derive the
+	// swept machine through it.
+	apply func(m *core.Machine, c *uarch.Config, v int)
+	// inputs re-derives the model inputs that depend on the swept value;
+	// nil reuses the workload's cached inputs.
+	inputs func(w *Workload, m core.Machine, c uarch.Config) (core.Inputs, error)
+}
 
-// sweepCells maps each supported parameter to its cell computation. The
-// window and ROB cells re-derive the model inputs that depend on the
+// sweepParams maps each supported parameter to its definition. The
+// window and ROB sweeps re-derive the model inputs that depend on the
 // swept size (the measured IW point and the equation-(8) miss grouping
 // respectively); width and depth only move timing-side machine
 // parameters, so the cached workload inputs are reused as-is.
-var sweepCells = map[string]sweepCell{
-	"window": windowCell,
-	"rob":    robCell,
-	"width":  widthCell,
-	"depth":  depthCell,
+var sweepParams = map[string]sweepParam{
+	// The ROB is bumped when it would fall below the window.
+	"window": {
+		apply: func(m *core.Machine, c *uarch.Config, v int) {
+			m.WindowSize, c.WindowSize = v, v
+			m.ROBSize = max(m.ROBSize, v)
+			c.ROBSize = max(c.ROBSize, v)
+		},
+		inputs: func(w *Workload, m core.Machine, _ uarch.Config) (core.Inputs, error) {
+			return core.InputsFromCurve(w.Law, w.Points, m.WindowSize, w.Summary)
+		},
+	},
+	// The trace is re-analyzed so the long-miss grouping uses the new
+	// horizon.
+	"rob": {
+		apply: func(m *core.Machine, c *uarch.Config, v int) { m.ROBSize, c.ROBSize = v, v },
+		inputs: func(w *Workload, m core.Machine, c uarch.Config) (core.Inputs, error) {
+			sum, err := stats.Analyze(w.Trace, statsConfig(c, m.ROBSize))
+			if err != nil {
+				return core.Inputs{}, err
+			}
+			return core.InputsFromCurve(w.Law, w.Points, m.WindowSize, sum)
+		},
+	},
+	"width": {apply: func(m *core.Machine, c *uarch.Config, v int) { m.Width, c.Width = v, v }},
+	// Depth only moves the branch misprediction penalty.
+	"depth": {apply: func(m *core.Machine, c *uarch.Config, v int) { m.FrontEndDepth, c.FrontEndDepth = v, v }},
 }
 
 // SweepParams returns the supported sweep parameter names, sorted.
 func SweepParams() []string {
-	params := make([]string, 0, len(sweepCells))
-	for p := range sweepCells {
+	params := make([]string, 0, len(sweepParams))
+	for p := range sweepParams {
 		params = append(params, p)
 	}
 	sort.Strings(params)
@@ -108,9 +138,14 @@ func (sp SweepSpec) Validate() error { return sp.ValidateFor(nil) }
 
 // ValidateFor is Validate against a suite's workload universe: a bench
 // name is acceptable when it is built-in or when s resolves it through
-// its registered-workload lookup. A nil s accepts built-ins only.
+// its registered-workload lookup. Every grid value's machine — s's
+// baseline, or the defaults when s is nil, with the value applied — must
+// pass the same model and simulator validation a predict request's
+// machine does, so a value no simulator can run is a request error, not
+// a failed cell. A nil s accepts built-ins only.
 func (sp SweepSpec) ValidateFor(s *Suite) error {
-	if _, ok := sweepCells[sp.Param]; !ok {
+	p, ok := sweepParams[sp.Param]
+	if !ok {
 		return fmt.Errorf("experiments: unknown sweep parameter %q (known: %s)",
 			sp.Param, strings.Join(SweepParams(), ", "))
 	}
@@ -128,9 +163,21 @@ func (sp SweepSpec) ValidateFor(s *Suite) error {
 	if len(sp.Values) == 0 {
 		return fmt.Errorf("experiments: sweep needs at least one %s value", sp.Param)
 	}
+	base, sim := core.DefaultMachine(), uarch.DefaultConfig()
+	if s != nil {
+		base, sim = s.Machine, s.Sim
+	}
 	for _, v := range sp.Values {
 		if v < 1 {
 			return fmt.Errorf("experiments: sweep value %d < 1", v)
+		}
+		m, c := base, sim
+		p.apply(&m, &c, v)
+		if err := m.Validate(); err != nil {
+			return err
+		}
+		if err := c.Validate(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -161,7 +208,7 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 			spec.Param, strings.Join(spec.Benches, ", "))
 	}
 	res := &SweepResult{Title: title, Param: spec.Param}
-	cell := sweepCells[spec.Param]
+	p := sweepParams[spec.Param]
 	jobs := sweepGrid(spec.Benches, spec.Values)
 	err := RunOrdered(s.workers(), len(jobs), func(i int) (SweepPoint, error) {
 		if err := ctx.Err(); err != nil {
@@ -171,7 +218,7 @@ func SweepStream(ctx context.Context, s *Suite, spec SweepSpec, emit func(SweepP
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		return cell(s, w, jobs[i].value)
+		return sweepCell(s, w, p, jobs[i].value)
 	}, func(_ int, pt SweepPoint) error {
 		res.Points = append(res.Points, pt)
 		if emit != nil {
@@ -204,121 +251,28 @@ func sweepGrid(benches []string, values []int) []sweepJob {
 	return jobs
 }
 
-// windowCell shrinks or grows the issue window, re-deriving the measured
-// steady-state IW point at the new size (the ROB is bumped when it would
-// fall below the window).
-func windowCell(s *Suite, w *Workload, win int) (SweepPoint, error) {
-	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) {
-		c.WindowSize = win
-		if c.ROBSize < win {
-			c.ROBSize = win
+// sweepCell computes one (benchmark, value) grid cell: the simulator and
+// the model on the baseline machine with the value applied.
+func sweepCell(s *Suite, w *Workload, p sweepParam, v int) (SweepPoint, error) {
+	m, c := s.Machine, s.Sim
+	p.apply(&m, &c, v)
+	sim, err := s.Simulate(w, func(sc *uarch.Config) { *sc = c })
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	in := w.Inputs
+	if p.inputs != nil {
+		if in, err = p.inputs(w, m, c); err != nil {
+			return SweepPoint{}, err
 		}
-	})
-	if err != nil {
-		return zero, err
-	}
-	m := s.Machine
-	m.WindowSize = win
-	if m.ROBSize < win {
-		m.ROBSize = win
-	}
-	// Re-derive the measured steady point at this window size.
-	in, err := core.InputsFromCurve(w.Law, w.Points, win, w.Summary)
-	if err != nil {
-		return zero, err
 	}
 	est, err := m.Estimate(in, modelOptions())
 	if err != nil {
-		return zero, err
+		return SweepPoint{}, err
 	}
 	return SweepPoint{
 		Bench:    w.Name,
-		Value:    win,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// robCell resizes the reorder buffer, re-analyzing the trace so the
-// equation-(8) long-miss grouping uses the new horizon.
-func robCell(s *Suite, w *Workload, rob int) (SweepPoint, error) {
-	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.ROBSize = rob })
-	if err != nil {
-		return zero, err
-	}
-	// Re-analyze with the new grouping horizon.
-	scfg := stats.DefaultConfig()
-	scfg.Hierarchy = s.Sim.Hierarchy
-	scfg.PredictorBits = s.Sim.PredictorBits
-	scfg.Latencies = s.Sim.Latencies
-	scfg.ROBSize = rob
-	scfg.Warmup = s.Sim.Warmup
-	sum, err := stats.Analyze(w.Trace, scfg)
-	if err != nil {
-		return zero, err
-	}
-	m := s.Machine
-	m.ROBSize = rob
-	in, err := core.InputsFromCurve(w.Law, w.Points, m.WindowSize, sum)
-	if err != nil {
-		return zero, err
-	}
-	est, err := m.Estimate(in, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    rob,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// widthCell varies the fetch/dispatch/issue/retire width; the workload
-// inputs are width-independent, so the cached bundle is reused.
-func widthCell(s *Suite, w *Workload, width int) (SweepPoint, error) {
-	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.Width = width })
-	if err != nil {
-		return zero, err
-	}
-	m := s.Machine
-	m.Width = width
-	est, err := m.Estimate(w.Inputs, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    width,
-		SimCPI:   sim.CPI(),
-		ModelCPI: est.CPI,
-		Err:      relErr(est.CPI, sim.CPI()),
-	}, nil
-}
-
-// depthCell varies the front-end pipeline depth ΔP, which only moves the
-// branch misprediction penalty.
-func depthCell(s *Suite, w *Workload, depth int) (SweepPoint, error) {
-	var zero SweepPoint
-	sim, err := s.Simulate(w, func(c *uarch.Config) { c.FrontEndDepth = depth })
-	if err != nil {
-		return zero, err
-	}
-	m := s.Machine
-	m.FrontEndDepth = depth
-	est, err := m.Estimate(w.Inputs, modelOptions())
-	if err != nil {
-		return zero, err
-	}
-	return SweepPoint{
-		Bench:    w.Name,
-		Value:    depth,
+		Value:    v,
 		SimCPI:   sim.CPI(),
 		ModelCPI: est.CPI,
 		Err:      relErr(est.CPI, sim.CPI()),

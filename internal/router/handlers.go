@@ -7,20 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
+	"fomodel/internal/reqkey"
 	"fomodel/internal/server"
-)
-
-// Body bounds mirror the daemon's: the proxy must read a body to key it,
-// so it enforces the same limits up front rather than shipping an
-// oversized body upstream only to have it rejected there.
-const (
-	maxBodyBytes      = 1 << 16
-	maxBatchBodyBytes = 1 << 20
-	maxBatchItems     = 256
 )
 
 // statusCodeClientGone mirrors the daemon's 499 log convention.
@@ -157,22 +148,18 @@ func (rt *Router) writeForwardError(w http.ResponseWriter, r *http.Request, err 
 	}
 }
 
-// readBody reads the (bounded) request body, answering 413/400 itself on
-// failure; the limits and messages match the daemon's so the error a
-// client sees does not depend on whether a proxy sits in front.
+// readBody reads the request body the way the daemon does — the proxy
+// must read a body to key it, so it enforces the daemon's own bound up
+// front rather than shipping an oversized body upstream only to have it
+// rejected there — answering a failure itself with the daemon's status
+// and message.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
+	body, err := server.ReadBody(r, limit)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			rt.writeError(w, r, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", limit)
-		} else {
-			rt.writeError(w, r, http.StatusBadRequest, "invalid request body: %v", err)
-		}
+		rt.writeError(w, r, server.ErrorStatus(err), "%s", err)
 		return nil, false
 	}
-	return raw, true
+	return body, true
 }
 
 // forwardHeader is the header set shipped with every upstream attempt:
@@ -256,30 +243,42 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, resp *http.Respo
 	}
 }
 
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, maxBodyBytes)
+// routeKey derives a request body's routing key with the daemon's own
+// cache-key function for its endpoint, so the key a request is routed
+// by and the key its replica caches it under are one string. A body the
+// daemon will reject anyway — undecodable or invalid — routes by its raw
+// bytes, and the daemon's error response stays authoritative.
+func routeKey[T any](endpoint string, body []byte, d reqkey.Defaults, key func(T, reqkey.Defaults) (string, error)) string {
+	var v T
+	if server.DecodeStrict(body, &v) == nil {
+		if k, err := key(v, d); err == nil {
+			return k
+		}
+	}
+	return reqkey.Raw(endpoint, body)
+}
+
+// proxyKeyed relays one single-object request to the owner of its
+// routing key.
+func proxyKeyed[T any](rt *Router, w http.ResponseWriter, r *http.Request, endpoint string, stream bool,
+	key func(T, reqkey.Defaults) (string, error)) {
+	body, ok := rt.readBody(w, r, server.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	rt.proxyOne(w, r, http.MethodPost, "/v1/predict", body, false, rt.predictKey(body))
+	rt.proxyOne(w, r, http.MethodPost, "/v1/"+endpoint, body, stream, routeKey(endpoint, body, rt.cfg.Defaults, key))
+}
+
+func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
+	proxyKeyed(rt, w, r, "predict", false, server.PredictCacheKey)
 }
 
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	stream := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	rt.proxyOne(w, r, http.MethodPost, "/v1/sweep", body, stream, rt.sweepKey(body))
+	proxyKeyed(rt, w, r, "sweep", server.WantsNDJSON(r), server.SweepCacheKey)
 }
 
 func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, maxBodyBytes)
-	if !ok {
-		return
-	}
-	stream := strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-	rt.proxyOne(w, r, http.MethodPost, "/v1/optimize", body, stream, rt.optimizeKey(body))
+	proxyKeyed(rt, w, r, "optimize", server.WantsNDJSON(r), server.OptimizeCacheKey)
 }
 
 func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -288,47 +287,44 @@ func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 
 // batchGroup is the slice of a batch owned by one replica shard.
 type batchGroup struct {
-	key   string // first member's canonical key; routes the sub-batch
-	idxs  []int  // positions in the original request
-	items []server.PredictRequest
+	key   string            // first member's canonical key; routes the sub-batch
+	idxs  []int             // positions in the original request
+	items []json.RawMessage // the members' bodies, forwarded as sent
 }
 
-// itemKey derives one batch item's canonical key, falling back to its
-// raw bytes for items the daemon will reject anyway.
-func (rt *Router) itemKey(item server.PredictRequest) string {
-	key, err := server.PredictCacheKey(item, rt.cfg.Defaults)
-	if err != nil {
-		//folint:allow(errdrop) a failed Marshal leaves b empty; the raw key is still deterministic
-		b, _ := json.Marshal(item)
-		return rawKey("predict", b)
-	}
-	return key
+// batchItems is a /v1/batch body with its items left undecoded: each
+// item is keyed through routeKey, and sub-batches carry the items as the
+// client sent them.
+type batchItems struct {
+	Items []json.RawMessage `json:"items"`
 }
 
 // handleBatch splits a batch by shard owner, fans the sub-batches to
 // their replicas concurrently, and reassembles the per-item results in
 // request order, re-encoding with the daemon's own encoder so the
-// response is byte-equal to a single daemon's. Requests the proxy cannot
-// decode — and whole-batch shape errors (empty, oversized) — are
-// forwarded intact so the daemon's error responses stay authoritative.
+// response is byte-equal to a single daemon's. Bodies that do not decode
+// as a batch — and whole-batch shape errors (empty, oversized) — are
+// forwarded intact so the daemon's error responses stay authoritative;
+// an item the daemon will reject routes by its raw bytes, and a
+// batch-level rejection from any replica answers for the whole batch.
 // In round-robin mode batches are not split: the baseline policy is
 // deliberately cache-oblivious.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r, maxBatchBodyBytes)
+	body, ok := rt.readBody(w, r, server.MaxBatchBodyBytes)
 	if !ok {
 		return
 	}
-	var breq server.BatchRequest
-	if err := strictDecode(body, &breq); err != nil ||
-		len(breq.Items) == 0 || len(breq.Items) > maxBatchItems || rt.cfg.RoundRobin {
-		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, rawKey("batch", body))
+	var breq batchItems
+	if err := server.DecodeStrict(body, &breq); err != nil ||
+		len(breq.Items) == 0 || len(breq.Items) > server.MaxBatchItems || rt.cfg.RoundRobin {
+		rt.proxyOne(w, r, http.MethodPost, "/v1/batch", body, false, reqkey.Raw("batch", body))
 		return
 	}
 
 	byOwner := make(map[int]*batchGroup)
 	var groups []*batchGroup
 	for i, item := range breq.Items {
-		k := rt.itemKey(item)
+		k := routeKey("predict", item, rt.cfg.Defaults, server.PredictCacheKey)
 		o := rt.ring.owner(k)
 		g := byOwner[o]
 		if g == nil {
@@ -357,7 +353,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(g *batchGroup) {
 			defer wg.Done()
-			payload, err := json.Marshal(server.BatchRequest{Items: g.items})
+			payload, err := json.Marshal(batchItems{Items: g.items})
 			if err != nil {
 				mu.Lock()
 				if failErr == nil {

@@ -14,9 +14,7 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,11 +26,8 @@ import (
 	"time"
 
 	"fomodel/internal/client"
-	"fomodel/internal/experiments"
 	"fomodel/internal/metrics"
-	"fomodel/internal/optimize"
 	"fomodel/internal/reqkey"
-	"fomodel/internal/server"
 )
 
 // Config parameterizes the router. The zero value of every field (other
@@ -571,74 +566,6 @@ func (b *cancelOnClose) Close() error {
 	err := b.ReadCloser.Close()
 	b.cancel()
 	return err
-}
-
-// strictDecode parses b exactly the way the daemon parses request
-// bodies: unknown fields and trailing data are errors. The proxy uses it
-// only to derive routing keys — a body it cannot decode still gets
-// forwarded (routed by its raw bytes) so the daemon's own error response
-// stays authoritative.
-func strictDecode(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data")
-	}
-	return nil
-}
-
-// rawKey routes an unkeyable body by its bytes; the derivation lives in
-// reqkey.Raw so the fallback keyspace is defined next to the canonical
-// one it must stay disjoint from.
-func rawKey(endpoint string, body []byte) string {
-	return reqkey.Raw(endpoint, body)
-}
-
-// predictKey derives the /v1/predict routing key — the daemon's own
-// response-cache key, normalization included.
-func (rt *Router) predictKey(body []byte) string {
-	var req server.PredictRequest
-	if err := strictDecode(body, &req); err != nil {
-		return rawKey("predict", body)
-	}
-	key, err := server.PredictCacheKey(req, rt.cfg.Defaults)
-	if err != nil {
-		return rawKey("predict", body)
-	}
-	return key
-}
-
-// sweepKey derives the /v1/sweep routing key, shared with the daemon's
-// buffered-sweep cache key.
-func (rt *Router) sweepKey(body []byte) string {
-	var spec experiments.SweepSpec
-	if err := strictDecode(body, &spec); err != nil {
-		return rawKey("sweep", body)
-	}
-	key, err := server.SweepCacheKey(spec, rt.cfg.Defaults)
-	if err != nil {
-		return rawKey("sweep", body)
-	}
-	return key
-}
-
-// optimizeKey derives the /v1/optimize routing key, shared with the
-// daemon's buffered-optimize cache key so repeated searches land on the
-// replica already holding the result (and the predict-cache entries its
-// evaluations warmed).
-func (rt *Router) optimizeKey(body []byte) string {
-	var spec optimize.Spec
-	if err := strictDecode(body, &spec); err != nil {
-		return rawKey("optimize", body)
-	}
-	key, err := server.OptimizeCacheKey(spec, rt.cfg.Defaults)
-	if err != nil {
-		return rawKey("optimize", body)
-	}
-	return key
 }
 
 // nextRequestID mints a proxy-scoped request ID: a monotonically

@@ -206,7 +206,11 @@ func TestProxyByteEquality(t *testing.T) {
 	}
 	owners := map[int]bool{}
 	for _, item := range items {
-		owners[rt.ring.owner(rt.itemKey(item))] = true
+		b, err := json.Marshal(item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners[rt.ring.owner(routeKey("predict", b, rt.cfg.Defaults, server.PredictCacheKey))] = true
 	}
 	batchBody, err := json.Marshal(server.BatchRequest{Items: items})
 	if err != nil {
@@ -283,7 +287,7 @@ func TestShardStability(t *testing.T) {
 	wantPerReplica := make([]int64, 2)
 	const repeats = 3
 	for _, body := range bodies {
-		owner := rt.ring.owner(rt.predictKey([]byte(body)))
+		owner := rt.ring.owner(routeKey("predict", []byte(body), rt.cfg.Defaults, server.PredictCacheKey))
 		wantPerReplica[owner] += repeats
 	}
 	for i := 0; i < repeats; i++ {
@@ -354,7 +358,7 @@ func TestHedgedRequestWinsAndCancelsLoser(t *testing.T) {
 		UpstreamRetries: -1,
 	})
 	body := []byte(`{"bench": "gzip"}`)
-	key := rt.predictKey(body)
+	key := routeKey("predict", body, rt.cfg.Defaults, server.PredictCacheKey)
 	owner := rt.ring.owner(key)
 
 	loserCanceled := make(chan struct{}, 1)
@@ -415,7 +419,7 @@ func TestRetryAfterDoesNotStallHedge(t *testing.T) {
 		HedgeMinSamples: 1 << 30,
 	})
 	body := []byte(`{"bench": "gzip"}`)
-	key := rt.predictKey(body)
+	key := routeKey("predict", body, rt.cfg.Defaults, server.PredictCacheKey)
 	owner := rt.ring.owner(key)
 
 	shedding := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -476,7 +480,7 @@ func TestFailoverEjectAndReadmit(t *testing.T) {
 	var bodyB string
 	for _, name := range workload.Names() {
 		body := fmt.Sprintf(`{"bench": %q}`, name)
-		if rt.ring.owner(rt.predictKey([]byte(body))) == idxB {
+		if rt.ring.owner(routeKey("predict", []byte(body), rt.cfg.Defaults, server.PredictCacheKey)) == idxB {
 			bodyB = body
 			break
 		}
@@ -787,7 +791,7 @@ func TestSweepSpecKeySharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := json.Marshal(spec)
-	if got := rt.sweepKey(b); got != fromServer {
+	if got := routeKey("sweep", b, rt.cfg.Defaults, server.SweepCacheKey); got != fromServer {
 		t.Fatalf("router sweep key %q != server cache key %q", got, fromServer)
 	}
 }
@@ -867,8 +871,125 @@ func TestOptimizeSpecKeySharing(t *testing.T) {
 		`{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":6}`,
 		`{"workloads":[{"bench":"gzip","weight":1}],"bounds":{"width":{"min":1,"max":4,"step":1}},"objective":"cpi","budget":6,"seed":1,"grid":3,"n":2000,"trace_seed":1}`,
 	} {
-		if got := rt.optimizeKey([]byte(body)); got != fromServer {
+		if got := routeKey("optimize", []byte(body), rt.cfg.Defaults, server.OptimizeCacheKey); got != fromServer {
 			t.Fatalf("router optimize key %q != server cache key %q for body %s", got, fromServer, body)
 		}
+	}
+}
+
+// TestBadInputParity pins the request pipeline's status contract: every
+// endpoint × bad-input class answers a 4xx straight from the daemon, and
+// the proxy answers the same status and error string, its error body
+// also carrying the request ID. A batch reports an item-level class in
+// its item's slot. The oversized rows pin that the proxy enforces the
+// daemon's own body limits with the daemon's own message.
+func TestBadInputParity(t *testing.T) {
+	_, daemon := newDaemon(t)
+	_, proxy := newProxy(t, Config{Replicas: []string{daemon.URL}})
+
+	valid := map[string]string{
+		"predict":  `{"bench":"gzip"}`,
+		"batch":    `{"items":[{"bench":"gzip"}]}`,
+		"sweep":    `{"param":"width","benches":["gzip"],"values":[2]}`,
+		"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":4}`,
+	}
+	limit := map[string]int{
+		"predict":  server.MaxBodyBytes,
+		"batch":    server.MaxBatchBodyBytes,
+		"sweep":    server.MaxBodyBytes,
+		"optimize": server.MaxBodyBytes,
+	}
+	each := func(f func(endpoint string) string) map[string]string {
+		m := make(map[string]string, len(valid))
+		for e := range valid {
+			m[e] = f(e)
+		}
+		return m
+	}
+	item := func(body string) string { return `{"items":[` + body + `]}` }
+	classes := []struct {
+		name   string
+		bodies map[string]string
+	}{
+		{"unknown bench", map[string]string{
+			"predict":  `{"bench":"nope"}`,
+			"batch":    item(`{"bench":"nope"}`),
+			"sweep":    `{"param":"width","benches":["nope"],"values":[2]}`,
+			"optimize": `{"workloads":[{"bench":"nope"}],"bounds":{"width":{"min":1,"max":4}},"budget":4}`,
+		}},
+		// A sweep has no n; its range-checked input is the grid value.
+		{"n out of range", map[string]string{
+			"predict":  `{"bench":"gzip","n":10}`,
+			"batch":    item(`{"bench":"gzip","n":10}`),
+			"sweep":    `{"param":"width","benches":["gzip"],"values":[0]}`,
+			"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":4,"n":10}`,
+		}},
+		{"invalid machine", map[string]string{
+			"predict":  `{"bench":"gzip","machine":{"rob":16}}`,
+			"batch":    item(`{"bench":"gzip","machine":{"rob":16}}`),
+			"sweep":    `{"param":"rob","benches":["gzip"],"values":[16]}`,
+			"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"rob":{"min":16,"max":16}},"budget":4}`,
+		}},
+		{"malformed JSON", each(func(e string) string { return strings.TrimSuffix(valid[e], "}") })},
+		{"unknown field", map[string]string{
+			"predict":  `{"bench":"gzip","bogus":1}`,
+			"batch":    item(`{"bench":"gzip","bogus":1}`),
+			"sweep":    `{"param":"width","benches":["gzip"],"values":[2],"bogus":1}`,
+			"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"width":{"min":1,"max":4}},"budget":4,"bogus":1}`,
+		}},
+		{"trailing data", each(func(e string) string { return valid[e] + ` {}` })},
+		{"oversized body", each(func(e string) string { return valid[e] + strings.Repeat(" ", limit[e]) })},
+	}
+
+	// outcome reads one answer's status and error: a 200 batch answers
+	// through its single item, anything else through its error body,
+	// which must carry a request ID when wantID is set.
+	outcome := func(t *testing.T, base, path, body string, wantID bool) (int, string) {
+		t.Helper()
+		resp := post(t, base, path, body, nil)
+		raw := readAll(t, resp)
+		if path == "/v1/batch" && resp.StatusCode == http.StatusOK {
+			var br server.BatchResponse
+			if err := json.Unmarshal(raw, &br); err != nil || len(br.Items) != 1 {
+				t.Fatalf("bad batch response (%v): %s", err, raw)
+			}
+			return br.Items[0].Status, br.Items[0].Error
+		}
+		var e struct {
+			Error     string `json:"error"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("status %d: error body is not JSON (%v): %s", resp.StatusCode, err, raw)
+		}
+		if wantID && e.RequestID == "" {
+			t.Fatalf("status %d: error body lacks the request ID: %s", resp.StatusCode, raw)
+		}
+		return resp.StatusCode, e.Error
+	}
+
+	machineErrs := map[string]string{}
+	for _, class := range classes {
+		for _, endpoint := range []string{"predict", "batch", "sweep", "optimize"} {
+			path, body := "/v1/"+endpoint, class.bodies[endpoint]
+			t.Run(class.name+"/"+endpoint, func(t *testing.T) {
+				status, msg := outcome(t, daemon.URL, path, body, false)
+				if status < 400 || status >= 500 || msg == "" {
+					t.Fatalf("daemon answered %d %q, want a 4xx with an error", status, msg)
+				}
+				pStatus, pMsg := outcome(t, proxy.URL, path, body, true)
+				if pStatus != status || pMsg != msg {
+					t.Fatalf("proxy answered %d %q, daemon %d %q", pStatus, pMsg, status, msg)
+				}
+				if class.name == "invalid machine" {
+					machineErrs[endpoint] = msg
+				}
+			})
+		}
+	}
+	// One machine, one message: a sweep grid value fails the way the same
+	// machine fails on predict and in a batch item.
+	if machineErrs["sweep"] != machineErrs["predict"] || machineErrs["batch"] != machineErrs["predict"] {
+		t.Errorf("invalid-machine messages differ: %q", machineErrs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"sync"
 
+	"fomodel/internal/reqkey"
 	"fomodel/internal/server"
 )
 
@@ -163,7 +164,7 @@ func workloadPath(name string) string {
 
 func (rt *Router) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r, maxBodyBytes)
+	body, ok := rt.readBody(w, r, server.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -201,7 +202,7 @@ func (rt *Router) handleWorkloadGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	key, err := server.WorkloadItemKey(name)
 	if err != nil {
-		key = rawKey("workload", []byte(name))
+		key = reqkey.Raw("workload", []byte(name))
 	}
 	rt.proxyOne(w, r, http.MethodGet, workloadPath(name), nil, false, key)
 }

@@ -9,15 +9,15 @@ import (
 	"fomodel/internal/experiments"
 )
 
-// maxBatchItems bounds one /v1/batch request. A batch occupies a single
+// MaxBatchItems bounds one /v1/batch request. A batch occupies a single
 // admission slot regardless of size, so the item bound (together with
 // the worker pool) is what keeps one request from monopolizing the
 // server.
-const maxBatchItems = 256
+const MaxBatchItems = 256
 
-// maxBatchBodyBytes bounds the /v1/batch request body; a full batch of
-// maxBatchItems small JSON objects fits comfortably.
-const maxBatchBodyBytes = 1 << 20
+// MaxBatchBodyBytes bounds the /v1/batch request body; a full batch of
+// MaxBatchItems small JSON objects fits comfortably.
+const MaxBatchBodyBytes = 1 << 20
 
 // BatchRequest is the /v1/batch body: many independent predict requests
 // evaluated in one round trip.
@@ -57,7 +57,7 @@ type BatchResponse struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sw := w.(*statusWriter)
 	var req BatchRequest
-	if err := decodeRequestLimit(r, &req, maxBatchBodyBytes); err != nil {
+	if err := decodeRequest(r, &req, MaxBatchBodyBytes); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
@@ -65,9 +65,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch needs at least one item")
 		return
 	}
-	if len(req.Items) > maxBatchItems {
+	if len(req.Items) > MaxBatchItems {
 		s.writeError(w, http.StatusBadRequest,
-			"batch of %d items exceeds the %d-item limit", len(req.Items), maxBatchItems)
+			"batch of %d items exceeds the %d-item limit", len(req.Items), MaxBatchItems)
 		return
 	}
 
@@ -95,11 +95,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.finishComputeState(sw, http.StatusOK, body, "", err)
 }
 
-// badItem is a 400 outcome for one batch item.
-func badItem(err error) BatchItem {
-	return BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
-}
-
 // batchItem evaluates one predict request, mapping every per-item
 // failure mode onto the item itself; only context errors (client gone,
 // batch deadline) escape as errors, aborting the whole batch. It
@@ -115,56 +110,17 @@ func (s *Server) batchItem(ctx context.Context, req PredictRequest) (item BatchI
 			}
 		}
 	}()
-	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
-		return badItem(err), nil
-	}
-	mode, err := ParseBranchMode(req.BranchMode)
+	p, err := s.planPredict(req)
 	if err != nil {
-		return badItem(err), nil
+		return BatchItem{Status: ErrorStatus(err), Error: err.Error()}, nil
 	}
-	machine, err := req.Machine.Machine()
-	if err != nil {
-		return badItem(err), nil
-	}
-	ucfg, err := req.Machine.SimConfig()
-	if err != nil {
-		return badItem(err), nil
-	}
-	if err := machine.Validate(); err != nil {
-		return badItem(err), nil
-	}
-	if err := ucfg.Validate(); err != nil {
-		return badItem(err), nil
-	}
-
-	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-	if err != nil {
-		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
-	}
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
-		if s.panicHook != nil {
-			s.panicHook(req.Bench)
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		rec, err := s.predictRecord(req, machine, ucfg, mode)
-		if err != nil {
-			return 0, nil, err
-		}
-		body, err := EncodeIndented(rec)
-		if err != nil {
-			return 0, nil, err
-		}
-		return http.StatusOK, body, nil
-	})
+	status, body, hit, err := s.predictBody(ctx, p)
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return BatchItem{}, err
 	case err != nil:
 		return BatchItem{Status: http.StatusInternalServerError, Error: err.Error()}, nil
 	}
-	s.noteRegisteredUse(req.Bench, hit)
 	cache := "miss"
 	if hit {
 		cache = "hit"

@@ -106,7 +106,7 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("empty-batch error %q does not explain the minimum", msg)
 	}
 
-	items := make([]string, maxBatchItems+1)
+	items := make([]string, MaxBatchItems+1)
 	for i := range items {
 		items[i] = fmt.Sprintf(`{"bench":"gzip","seed":%d}`, i+1)
 	}

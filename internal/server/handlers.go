@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,14 +10,17 @@ import (
 	"net/http"
 	"strings"
 
+	"fomodel/internal/core"
 	"fomodel/internal/experiments"
 	"fomodel/internal/reqkey"
+	"fomodel/internal/uarch"
 	"fomodel/internal/workload"
 )
 
-// Request sizes are bounded: every valid request body is a small JSON
-// object, so anything bigger is rejected before decoding.
-const maxBodyBytes = 1 << 16
+// MaxBodyBytes bounds every single-object request body: each valid one
+// is a small JSON object, so anything bigger is rejected before
+// decoding. The fomodelproxy router enforces the same bound up front.
+const MaxBodyBytes = 1 << 16
 
 // Instruction-count bounds per request, keeping a single request's
 // memory and CPU within reason.
@@ -25,8 +29,16 @@ const (
 	maxTraceLen = 5_000_000
 )
 
-// statusError is a request-decoding failure that dictates its own HTTP
-// status (e.g. 413 for an oversized body); plain errors map to 400.
+// checkTraceLen enforces the per-request instruction-count bounds.
+func checkTraceLen(n int) error {
+	if n < minTraceLen || n > maxTraceLen {
+		return fmt.Errorf("n %d outside [%d, %d]", n, minTraceLen, maxTraceLen)
+	}
+	return nil
+}
+
+// statusError is a request-preparation failure that dictates its own
+// HTTP status (e.g. 413 for an oversized body); plain errors map to 400.
 type statusError struct {
 	code int
 	msg  string
@@ -34,41 +46,49 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
-// writeRequestError writes a decoding failure with its proper status:
-// the statusError's own code when it carries one, 400 otherwise.
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
+// ErrorStatus is the HTTP status of a request-preparation error: the
+// code a statusError carries, 400 for every other error. The
+// fomodelproxy router maps its own body-read failures through it.
+func ErrorStatus(err error) int {
 	var se *statusError
 	if errors.As(err, &se) {
-		code = se.code
+		return se.code
 	}
-	s.writeError(w, code, "%s", err)
+	return http.StatusBadRequest
 }
 
-// decodeRequest parses a JSON request body strictly (unknown fields are
-// errors, as is trailing garbage).
-func decodeRequest(r *http.Request, v any) error {
-	return decodeRequestLimit(r, v, maxBodyBytes)
+// writeRequestError writes a request-preparation failure with its
+// ErrorStatus.
+func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
+	s.writeError(w, ErrorStatus(err), "%s", err)
 }
 
-// decodeRequestLimit is decodeRequest with an explicit body bound;
-// /v1/batch allows a larger body than the single-object endpoints. A
-// body over the bound is an explicit 413 naming the limit — never a
-// silent truncation misreported as malformed JSON.
-func decodeRequestLimit(r *http.Request, v any, limit int64) error {
-	// Read the whole (bounded) body first: an over-limit body must
-	// always surface as a 413, even when its prefix happens to parse.
+// ReadBody reads a request body bounded by limit. A body over the bound
+// is an explicit 413 naming the limit — never a silent truncation
+// misreported as malformed JSON; other read failures are 400s. The
+// whole body is read before any decoding, so an over-limit body always
+// surfaces as a 413, even when its prefix happens to parse. The
+// fomodelproxy router reads with it too, so a client sees the same
+// limit and message with or without a proxy in front.
+func ReadBody(r *http.Request, limit int64) ([]byte, error) {
 	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &statusError{
+			return nil, &statusError{
 				code: http.StatusRequestEntityTooLarge,
 				msg:  fmt.Sprintf("request body exceeds the %d-byte limit", limit),
 			}
 		}
-		return fmt.Errorf("invalid request body: %v", err)
+		return nil, fmt.Errorf("invalid request body: %v", err)
 	}
+	return raw, nil
+}
+
+// DecodeStrict parses a request body strictly: unknown fields are
+// errors, as is trailing data after the JSON value. It is the one
+// request decoder of the daemon and the fomodelproxy router alike.
+func DecodeStrict(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -78,6 +98,17 @@ func decodeRequestLimit(r *http.Request, v any, limit int64) error {
 		return fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
 	return nil
+}
+
+// decodeRequest reads and strictly decodes a request body bounded by
+// limit; /v1/batch allows a larger body than the single-object
+// endpoints.
+func decodeRequest(r *http.Request, v any, limit int64) error {
+	raw, err := ReadBody(r, limit)
+	if err != nil {
+		return err
+	}
+	return DecodeStrict(raw, v)
 }
 
 // EncodeIndented marshals v exactly the way the CLI's -json mode does
@@ -148,60 +179,65 @@ func (req *PredictRequest) Normalize(d reqkey.Defaults) error {
 		}
 		req.Content = hash
 	}
-	if req.N < minTraceLen || req.N > maxTraceLen {
-		return fmt.Errorf("n %d outside [%d, %d]", req.N, minTraceLen, maxTraceLen)
-	}
-	return nil
+	return checkTraceLen(req.N)
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	sw := w.(*statusWriter)
-	var req PredictRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.writeRequestError(w, err)
-		return
+// predictPlan is one predict request prepared for the response cache:
+// normalized, its branch mode parsed, its model machine and simulator
+// configuration built and validated, and its canonical key derived.
+type predictPlan struct {
+	req     PredictRequest
+	mode    core.BranchPenaltyMode
+	machine core.Machine
+	ucfg    uarch.Config
+	key     string
+}
+
+// planPredict is the one predict preparation step. The /v1/predict
+// handler, every /v1/batch item and every optimize evaluation prepare
+// through it, so one request yields one status and one error message on
+// every endpoint. Its errors are request errors (see ErrorStatus).
+func (s *Server) planPredict(req PredictRequest) (predictPlan, error) {
+	if err := req.Normalize(s.keys); err != nil {
+		return predictPlan{}, err
 	}
-	if err := req.Normalize(s.cfg.KeyDefaults()); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
+	p := predictPlan{req: req}
+	var err error
+	if p.mode, err = ParseBranchMode(req.BranchMode); err != nil {
+		return predictPlan{}, err
 	}
-	mode, err := ParseBranchMode(req.BranchMode)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
+	if p.machine, err = req.Machine.Machine(); err != nil {
+		return predictPlan{}, err
 	}
-	machine, err := req.Machine.Machine()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	ucfg, err := req.Machine.SimConfig()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
+	if p.ucfg, err = req.Machine.SimConfig(); err != nil {
+		return predictPlan{}, err
 	}
 	// Reject structurally invalid machines up front, so configuration
 	// mistakes are 400s and only genuine computation failures become 500s.
-	if err := machine.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
+	if err := p.machine.Validate(); err != nil {
+		return predictPlan{}, err
 	}
-	if err := ucfg.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
+	if err := p.ucfg.Validate(); err != nil {
+		return predictPlan{}, err
 	}
+	if p.key, err = reqkey.Canonical("predict", req); err != nil {
+		return predictPlan{}, &statusError{code: http.StatusInternalServerError, msg: err.Error()}
+	}
+	return p, nil
+}
 
-	key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
-		return
-	}
-	ctx := r.Context()
-	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
+// predictBody answers one prepared predict through the response cache:
+// retained bytes on a hit, otherwise the model pipeline's record encoded
+// exactly as the CLI's -json mode prints it.
+func (s *Server) predictBody(ctx context.Context, p predictPlan) (status int, body []byte, hit bool, err error) {
+	status, body, hit, err = s.cache.Do(p.key, func() (int, []byte, error) {
+		if s.panicHook != nil {
+			s.panicHook(p.req.Bench)
+		}
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		rec, err := s.predictRecord(req, machine, ucfg, mode)
+		rec, err := s.predictRecord(p.req, p.machine, p.ucfg, p.mode)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -211,8 +247,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		return http.StatusOK, body, nil
 	})
-	s.noteRegisteredUse(req.Bench, hit)
-	s.finishCompute(sw, status, body, hit, err)
+	s.noteRegisteredUse(p.req.Bench, hit)
+	return status, body, hit, err
+}
+
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	var req PredictRequest
+	if err := decodeRequest(r, &req, MaxBodyBytes); err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	p, err := s.planPredict(req)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	status, body, hit, err := s.predictBody(r.Context(), p)
+	s.finishCompute(w.(*statusWriter), status, body, hit, err)
 }
 
 // SweepResponse is the /v1/sweep body: the structured sweep points plus
@@ -237,19 +288,19 @@ type SweepTrailer struct {
 	CSV        string  `json:"csv"`
 }
 
-// ndjsonContentType is the streamed sweep's media type; requests opt in
-// by listing it in the Accept header.
+// ndjsonContentType is the streamed responses' media type; requests opt
+// in by listing it in the Accept header.
 const ndjsonContentType = "application/x-ndjson"
 
-// wantsNDJSON reports whether the request asked for a streamed sweep.
-func wantsNDJSON(r *http.Request) bool {
+// WantsNDJSON reports whether the request asked for a streamed response.
+func WantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sw := w.(*statusWriter)
 	var spec experiments.SweepSpec
-	if err := decodeRequest(r, &spec); err != nil {
+	if err := decodeRequest(r, &spec, MaxBodyBytes); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
@@ -261,16 +312,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "sweep grid of %d cells exceeds the 256-cell limit", cells)
 		return
 	}
-	if wantsNDJSON(r) {
-		s.streamSweep(sw, r, spec)
+	ctx := r.Context()
+	if WantsNDJSON(r) {
+		// One compact SweepPoint row per grid cell, then the trailer; a
+		// client disconnect cancels the remaining cells through ctx.
+		err := s.streamNDJSON(sw, r, spec.Param, func(row func(any) error) (any, error) {
+			res, err := experiments.SweepStream(ctx, s.suite, spec, func(pt experiments.SweepPoint) error {
+				return row(pt)
+			})
+			if err != nil {
+				return nil, err
+			}
+			return SweepTrailer{
+				Title:      res.Title,
+				Param:      res.Param,
+				MeanAbsErr: res.MeanAbsErr,
+				Render:     res.Render(),
+				CSV:        res.CSV(),
+			}, nil
+		})
+		if err != nil {
+			s.finishCompute(sw, 0, nil, false, err)
+		}
 		return
 	}
-	key, err := SweepCacheKey(spec, s.cfg.KeyDefaults())
+	key, err := SweepCacheKey(spec, s.keys)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "%s", err)
 		return
 	}
-	ctx := r.Context()
 	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(spec.Param)
@@ -292,19 +362,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.finishCompute(sw, status, body, hit, err)
 }
 
-// streamSweep is the NDJSON sweep mode: one compact SweepPoint row per
-// grid cell, flushed as the cell completes, then one SweepTrailer row
-// with the sweep-level fields. Streamed responses bypass the response
-// cache (rows leave before the result exists) but still share the
-// suite's workload and prep caches. A client disconnect cancels the
-// remaining grid cells through the request context; a failure after the
-// first row has been sent is reported as a final {"error": ...} row,
-// since the 200 header is already on the wire.
-func (s *Server) streamSweep(sw *statusWriter, r *http.Request, spec experiments.SweepSpec) {
-	ctx := r.Context()
+// streamNDJSON is the one NDJSON mode, shared by streamed sweeps and
+// streamed searches: run writes one compact row per result through row,
+// each flushed as it completes, and returns the trailer row ending the
+// stream. Streamed responses bypass the response cache (rows leave
+// before the result exists). A failure before the first row is returned
+// for the caller to answer with its real status; after it the 200
+// header is on the wire, so a live client gets a final {"error": ...}
+// row instead. Panics — the handler goroutine's own, and worker panics
+// arriving as PanicError through the engine's guard — become such
+// errors rather than a severed connection.
+func (s *Server) streamNDJSON(sw *statusWriter, r *http.Request, hookName string,
+	run func(row func(any) error) (trailer any, err error)) error {
 	wroteRow := false
-	writeRow := func(v any) error {
-		row, err := json.Marshal(v)
+	row := func(v any) error {
+		b, err := json.Marshal(v)
 		if err != nil {
 			return err
 		}
@@ -313,51 +385,36 @@ func (s *Server) streamSweep(sw *statusWriter, r *http.Request, spec experiments
 			sw.WriteHeader(http.StatusOK)
 			wroteRow = true
 		}
-		if _, err := sw.Write(append(row, '\n')); err != nil {
+		if _, err := sw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 		sw.Flush()
 		return nil
 	}
-	res, err := func() (res *experiments.SweepResult, err error) {
-		// The streamed path runs outside the response cache, so it needs
-		// its own panic net: worker panics arrive here as PanicError via
-		// the engine's guard, and this recover catches the handler
-		// goroutine itself, turning both into a structured error instead
-		// of a severed connection.
+	trailer, err := func() (trailer any, err error) {
 		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("internal panic: %v", r)
+			if p := recover(); p != nil {
+				err = fmt.Errorf("internal panic: %v", p)
 			}
 		}()
 		if s.panicHook != nil {
-			s.panicHook(spec.Param)
+			s.panicHook(hookName)
 		}
-		return experiments.SweepStream(ctx, s.suite, spec, func(pt experiments.SweepPoint) error {
-			return writeRow(pt)
-		})
+		return run(row)
 	}()
-	if err != nil {
-		if !wroteRow {
-			// Nothing sent yet: fail the request with its real status.
-			s.finishCompute(sw, 0, nil, false, err)
-			return
-		}
-		if ctx.Err() == nil {
-			// Mid-stream failure with a live client: the status line is
-			// gone, so the error travels as the final row.
+	switch {
+	case err != nil && !wroteRow:
+		return err
+	case err != nil:
+		if r.Context().Err() == nil {
 			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
-			writeRow(errorResponse{Error: err.Error()})
+			row(errorResponse{Error: err.Error()})
 		}
-		return
+	default:
+		//folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
+		row(trailer)
 	}
-	writeRow(SweepTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
-		Title:      res.Title,
-		Param:      res.Param,
-		MeanAbsErr: res.MeanAbsErr,
-		Render:     res.Render(),
-		CSV:        res.CSV(),
-	})
+	return nil
 }
 
 // WorkloadInfo is one benchmark's model-facing trace statistics, as

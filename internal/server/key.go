@@ -114,6 +114,11 @@ func OptimizeCacheKey(spec optimize.Spec, d reqkey.Defaults) (string, error) {
 	if err := spec.NormalizeWith(d.N, d.Seed, resolverKnown(d.Resolver)); err != nil {
 		return "", err
 	}
+	return optimizeKey(spec, d)
+}
+
+// optimizeKey keys an already-normalized optimize spec.
+func optimizeKey(spec optimize.Spec, d reqkey.Defaults) (string, error) {
 	benches := make([]string, len(spec.Workloads))
 	for i, w := range spec.Workloads {
 		benches[i] = w.Bench

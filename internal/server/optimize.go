@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"fomodel/internal/core"
 	"fomodel/internal/optimize"
 )
 
@@ -65,51 +64,23 @@ func optimizeMachineSpec(cfg optimize.Config, tlb bool) MachineSpec {
 }
 
 // optimizeEval builds the search's evaluator: one candidate × benchmark
-// scored through the daemon's own predict path — response cache,
-// analysis cache, artifact store, prep cache and all. The model CPI is
-// read back from the cached response bytes, so a cache hit and a fresh
-// computation yield the identical float (Go's JSON float round-trip is
-// exact).
+// prepared and scored through the daemon's own predict path — response
+// cache, analysis cache, artifact store, prep cache and all. The model
+// CPI is read back from the cached response bytes, so a cache hit and a
+// fresh computation yield the identical float (Go's JSON float
+// round-trip is exact).
 func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 	return func(ctx context.Context, cfg optimize.Config, bench string) (float64, error) {
-		req := PredictRequest{
+		p, err := s.planPredict(PredictRequest{
 			Bench:   bench,
 			N:       spec.N,
 			Seed:    spec.TraceSeed,
 			Machine: optimizeMachineSpec(cfg, spec.TLB),
-		}
-		key, err := PredictCacheKey(req, s.cfg.KeyDefaults())
-		if err != nil {
-			return 0, err
-		}
-		machine, err := req.Machine.Machine()
-		if err != nil {
-			return 0, err
-		}
-		ucfg, err := req.Machine.SimConfig()
-		if err != nil {
-			return 0, err
-		}
-		if err := machine.Validate(); err != nil {
-			return 0, err
-		}
-		if err := ucfg.Validate(); err != nil {
-			return 0, err
-		}
-		_, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, nil, err
-			}
-			rec, err := s.predictRecord(req, machine, ucfg, core.BranchMidpoint)
-			if err != nil {
-				return 0, nil, err
-			}
-			b, err := EncodeIndented(rec)
-			if err != nil {
-				return 0, nil, err
-			}
-			return http.StatusOK, b, nil
 		})
+		if err != nil {
+			return 0, err
+		}
+		_, body, hit, err := s.predictBody(ctx, p)
 		if err != nil {
 			return 0, err
 		}
@@ -117,7 +88,6 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 		if hit {
 			s.optEvalHits.Inc()
 		}
-		s.noteRegisteredUse(bench, hit)
 		var rec PredictRecord
 		if err := json.Unmarshal(body, &rec); err != nil {
 			return 0, fmt.Errorf("malformed cached predict body: %w", err)
@@ -126,18 +96,31 @@ func (s *Server) optimizeEval(spec optimize.Spec) optimize.EvalFunc {
 	}
 }
 
+// planOptimize is the one optimize preparation step: the spec normalized
+// once — defaults filled, registered names accepted — with its trace
+// length bounded like a predict request's.
+func (s *Server) planOptimize(spec optimize.Spec) (optimize.Spec, error) {
+	if err := spec.NormalizeWith(s.cfg.N, s.cfg.Seed, s.knownWorkload); err != nil {
+		return spec, err
+	}
+	return spec, checkTraceLen(spec.N)
+}
+
 // Optimize runs one design-space search through the daemon's predict
 // compute path. It is exported so the CLI's local -optimize mode runs
 // the very same code an in-process daemon would, which is what makes
 // local and remote outputs byte-identical. emit, when non-nil, receives
 // accepted points in discovery order.
 func (s *Server) Optimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
-	if err := spec.NormalizeWith(s.cfg.N, s.cfg.Seed, s.knownWorkload); err != nil {
+	spec, err := s.planOptimize(spec)
+	if err != nil {
 		return nil, err
 	}
-	if spec.N < minTraceLen || spec.N > maxTraceLen {
-		return nil, fmt.Errorf("n %d outside [%d, %d]", spec.N, minTraceLen, maxTraceLen)
-	}
+	return s.runOptimize(ctx, spec, emit)
+}
+
+// runOptimize is Optimize on a spec planOptimize already prepared.
+func (s *Server) runOptimize(ctx context.Context, spec optimize.Spec, emit func(optimize.Point) error) (*optimize.Result, error) {
 	res, err := optimize.Run(ctx, spec, s.optimizeEval(spec), optimize.Options{
 		Workers:       s.cfg.Workers,
 		Emit:          emit,
@@ -161,37 +144,56 @@ func optimizeDeadline(ctx context.Context, spec optimize.Spec) (context.Context,
 	return context.WithTimeout(ctx, time.Duration(spec.DeadlineMS)*time.Millisecond)
 }
 
+// handleOptimize answers buffered searches through the response cache
+// and streamed ones (NDJSON: one compact Point row per accepted
+// candidate, then an OptimizeTrailer) outside it; either way every
+// evaluation underneath lands in the predict response cache.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	sw := w.(*statusWriter)
 	var spec optimize.Spec
-	if err := decodeRequest(r, &spec); err != nil {
+	if err := decodeRequest(r, &spec, MaxBodyBytes); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	if err := spec.NormalizeWith(s.cfg.N, s.cfg.Seed, s.knownWorkload); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%s", err)
-		return
-	}
-	if spec.N < minTraceLen || spec.N > maxTraceLen {
-		s.writeError(w, http.StatusBadRequest, "n %d outside [%d, %d]", spec.N, minTraceLen, maxTraceLen)
-		return
-	}
-	if wantsNDJSON(r) {
-		s.streamOptimize(sw, r, spec)
-		return
-	}
-	key, err := OptimizeCacheKey(spec, s.cfg.KeyDefaults())
+	spec, err := s.planOptimize(spec)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		s.writeRequestError(w, err)
 		return
 	}
 	ctx, cancel := optimizeDeadline(r.Context(), spec)
 	defer cancel()
+	if WantsNDJSON(r) {
+		err := s.streamNDJSON(sw, r, spec.Title, func(row func(any) error) (any, error) {
+			res, err := s.runOptimize(ctx, spec, func(pt optimize.Point) error { return row(pt) })
+			if err != nil {
+				return nil, err
+			}
+			return OptimizeTrailer{
+				Spec:        res.Spec,
+				Frontier:    res.Frontier,
+				Evaluations: res.Evaluations,
+				Rounds:      res.Rounds,
+				GridSize:    res.GridSize,
+				Converged:   res.Converged,
+				Render:      res.Render(),
+				CSV:         res.CSV(),
+			}, nil
+		})
+		if err != nil {
+			s.finishOptimize(sw, r, spec, 0, nil, false, err)
+		}
+		return
+	}
+	key, err := optimizeKey(spec, s.keys)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "%s", err)
+		return
+	}
 	status, body, hit, err := s.cache.Do(key, func() (int, []byte, error) {
 		if s.panicHook != nil {
 			s.panicHook(spec.Title)
 		}
-		res, err := s.Optimize(ctx, spec, nil)
+		res, err := s.runOptimize(ctx, spec, nil)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -201,84 +203,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		}
 		return http.StatusOK, body, nil
 	})
-	// The spec's own deadline expiring is the client's doing, not the
-	// server's computation limit: report it precisely.
+	s.finishOptimize(sw, r, spec, status, body, hit, err)
+}
+
+// finishOptimize is finishCompute plus one mapping: the spec's own
+// deadline expiring is the client's doing, not the server's computation
+// limit, so it is reported precisely.
+func (s *Server) finishOptimize(sw *statusWriter, r *http.Request, spec optimize.Spec,
+	status int, body []byte, hit bool, err error) {
 	if errors.Is(err, context.DeadlineExceeded) && spec.DeadlineMS > 0 && r.Context().Err() == nil {
 		s.writeError(sw, http.StatusServiceUnavailable,
 			"search exceeded the spec's %dms deadline", spec.DeadlineMS)
 		return
 	}
 	s.finishCompute(sw, status, body, hit, err)
-}
-
-// streamOptimize is the NDJSON optimize mode: one compact Point row per
-// accepted candidate, flushed as it is discovered, then one
-// OptimizeTrailer row with the search-level fields. Like streamed
-// sweeps, streamed searches bypass the response cache (rows leave before
-// the result exists) but every evaluation underneath still lands in the
-// predict response cache. Mid-stream failures follow the established
-// convention: a final {"error": ...} row, since the 200 header is
-// already on the wire.
-func (s *Server) streamOptimize(sw *statusWriter, r *http.Request, spec optimize.Spec) {
-	ctx, cancel := optimizeDeadline(r.Context(), spec)
-	defer cancel()
-	wroteRow := false
-	writeRow := func(v any) error {
-		row, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !wroteRow {
-			sw.Header().Set("Content-Type", ndjsonContentType)
-			sw.WriteHeader(http.StatusOK)
-			wroteRow = true
-		}
-		if _, err := sw.Write(append(row, '\n')); err != nil {
-			return err
-		}
-		sw.Flush()
-		return nil
-	}
-	res, err := func() (res *optimize.Result, err error) {
-		// Worker panics arrive as PanicError via the engine's guard; this
-		// recover catches the handler goroutine itself, turning both into
-		// a structured error instead of a severed connection.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("internal panic: %v", r)
-			}
-		}()
-		if s.panicHook != nil {
-			s.panicHook(spec.Title)
-		}
-		return s.Optimize(ctx, spec, func(pt optimize.Point) error {
-			return writeRow(pt)
-		})
-	}()
-	if err != nil {
-		if !wroteRow {
-			if errors.Is(err, context.DeadlineExceeded) && spec.DeadlineMS > 0 && r.Context().Err() == nil {
-				s.writeError(sw, http.StatusServiceUnavailable,
-					"search exceeded the spec's %dms deadline", spec.DeadlineMS)
-				return
-			}
-			s.finishCompute(sw, 0, nil, false, err)
-			return
-		}
-		if r.Context().Err() == nil {
-			//folint:allow(errdrop) final error row on a dying stream; a failed write means the client is gone too
-			writeRow(errorResponse{Error: err.Error()})
-		}
-		return
-	}
-	writeRow(OptimizeTrailer{ //folint:allow(errdrop) trailer ends the stream; a failed write means the client is gone and there is nothing left to send
-		Spec:        res.Spec,
-		Frontier:    res.Frontier,
-		Evaluations: res.Evaluations,
-		Rounds:      res.Rounds,
-		GridSize:    res.GridSize,
-		Converged:   res.Converged,
-		Render:      res.Render(),
-		CSV:         res.CSV(),
-	})
 }

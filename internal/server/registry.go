@@ -90,7 +90,7 @@ func (s *Server) handleWorkloadRegister(w http.ResponseWriter, r *http.Request) 
 	}
 	name := r.PathValue("name")
 	var prof workload.Profile
-	if err := decodeRequest(r, &prof); err != nil {
+	if err := decodeRequest(r, &prof, MaxBodyBytes); err != nil {
 		s.writeRequestError(w, err)
 		return
 	}

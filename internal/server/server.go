@@ -21,6 +21,7 @@ import (
 	"fomodel/internal/flight"
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
+	"fomodel/internal/reqkey"
 	"fomodel/internal/trace"
 	"fomodel/internal/workload"
 )
@@ -93,7 +94,10 @@ const statusCodeClientGone = 499
 // they serve from (the experiment suite with its workload and prep
 // caches, the response cache, and the metrics counters).
 type Server struct {
-	cfg   Config
+	cfg Config
+	// keys are the normalization defaults every request is prepared and
+	// keyed under: cfg.KeyDefaults(), computed once.
+	keys  reqkey.Defaults
 	log   *slog.Logger
 	suite *experiments.Suite
 	cache respCache
@@ -181,6 +185,7 @@ func New(cfg Config, log *slog.Logger) *Server {
 		regRequests: make(map[string]*metrics.Counter),
 		regHits:     make(map[string]*metrics.Counter),
 	}
+	s.keys = cfg.KeyDefaults()
 	s.traceEvictions = &s.traces.Stats().Evictions
 	// An evicted trace is about to become unreachable, so the prep-cache
 	// entries keyed to it could never be hit again: release them.

@@ -94,6 +94,7 @@ func TestSweepBadRequests(t *testing.T) {
 		{"unknown param", `{"param":"voltage","benches":["gzip"],"values":[1]}`, "unknown sweep parameter"},
 		{"unknown bench", `{"param":"width","benches":["nope"],"values":[2]}`, "unknown profile"},
 		{"no values", `{"param":"width","benches":["gzip"],"values":[]}`, "at least one"},
+		{"rob below window", `{"param":"rob","benches":["gzip"],"values":[16]}`, "uarch: ROB size 16 smaller than window 48"},
 		{"grid too large", `{"param":"width","benches":["gzip"],"values":[` + strings.Join(big, ",") + `]}`, "256-cell limit"},
 	}
 	for _, tc := range cases {

@@ -155,15 +155,15 @@ func TestTraceCacheBounded(t *testing.T) {
 // body's prefix would parse.
 func TestRequestBodyTooLarge(t *testing.T) {
 	s := testServer(Config{})
-	pad := strings.Repeat(" ", maxBodyBytes)
+	pad := strings.Repeat(" ", MaxBodyBytes)
 	cases := []struct {
 		name, path, body string
 		limit            int
 	}{
-		{"predict oversized", "/v1/predict", `{"bench": "gzip"` + strings.Repeat(" ", maxBodyBytes) + `}`, maxBodyBytes},
-		{"predict valid prefix", "/v1/predict", `{"bench": "gzip"}` + pad, maxBodyBytes},
-		{"sweep oversized", "/v1/sweep", `{"param": "width"` + pad + `}`, maxBodyBytes},
-		{"batch oversized", "/v1/batch", `{"items": [{"bench": "gzip"}]}` + strings.Repeat(" ", maxBatchBodyBytes), maxBatchBodyBytes},
+		{"predict oversized", "/v1/predict", `{"bench": "gzip"` + strings.Repeat(" ", MaxBodyBytes) + `}`, MaxBodyBytes},
+		{"predict valid prefix", "/v1/predict", `{"bench": "gzip"}` + pad, MaxBodyBytes},
+		{"sweep oversized", "/v1/sweep", `{"param": "width"` + pad + `}`, MaxBodyBytes},
+		{"batch oversized", "/v1/batch", `{"items": [{"bench": "gzip"}]}` + strings.Repeat(" ", MaxBatchBodyBytes), MaxBatchBodyBytes},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,7 +179,7 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	}
 	// At the limit is still fine.
 	small := `{"bench": "gzip", "n": 2000}`
-	body := small + strings.Repeat(" ", maxBodyBytes-len(small))
+	body := small + strings.Repeat(" ", MaxBodyBytes-len(small))
 	if rec := post(s, "/v1/predict", body); rec.Code != http.StatusOK {
 		t.Errorf("exactly-at-limit body rejected: status %d: %s", rec.Code, rec.Body.String())
 	}

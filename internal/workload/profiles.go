@@ -63,10 +63,15 @@ func baseProfile(name string) Profile {
 	}
 }
 
-// Profiles returns the twelve synthetic SPECint2000-like profiles in
-// alphabetical order.
-func Profiles() []Profile {
-	ps := []Profile{
+// builtins is the immutable profile table, built once at package init:
+// profiles holds the twelve in alphabetical order, byName indexes them,
+// and names is the sorted name list.
+var builtins = func() (t struct {
+	profiles []Profile
+	byName   map[string]Profile
+	names    []string
+}) {
+	t.profiles = []Profile{
 		bzip2Profile(),
 		craftyProfile(),
 		eonProfile(),
@@ -80,28 +85,34 @@ func Profiles() []Profile {
 		vortexProfile(),
 		vprProfile(),
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
-	return ps
+	sort.Slice(t.profiles, func(i, j int) bool { return t.profiles[i].Name < t.profiles[j].Name })
+	t.byName = make(map[string]Profile, len(t.profiles))
+	t.names = make([]string, len(t.profiles))
+	for i, p := range t.profiles {
+		t.byName[p.Name] = p
+		t.names[i] = p.Name
+	}
+	return t
+}()
+
+// Profiles returns the twelve synthetic SPECint2000-like profiles in
+// alphabetical order, as a fresh copy the caller may modify.
+func Profiles() []Profile {
+	return append([]Profile(nil), builtins.profiles...)
 }
 
 // Names returns the profile names in alphabetical order.
 func Names() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i := range ps {
-		names[i] = ps[i].Name
-	}
-	return names
+	return append([]string(nil), builtins.names...)
 }
 
-// ByName returns the named profile.
+// ByName returns the named profile. Profile holds only values, so the
+// returned copy shares nothing with the table.
 func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
+	if p, ok := builtins.byName[name]; ok {
+		return p, nil
 	}
-	return Profile{}, fmt.Errorf("workload: unknown profile %q (known: %v)", name, Names())
+	return Profile{}, fmt.Errorf("workload: unknown profile %q (known: %v)", name, builtins.names)
 }
 
 // bzip2: compression with moderate ILP, tiny code, modest data misses.

@@ -47,8 +47,37 @@ func TestByName(t *testing.T) {
 	if p.Name != "mcf" {
 		t.Fatalf("got %q", p.Name)
 	}
-	if _, err := ByName("nonsense"); err == nil {
-		t.Fatal("unknown profile accepted")
+	_, err = ByName("nonsense")
+	want := `workload: unknown profile "nonsense" (known: [bzip crafty eon gap gcc gzip mcf parser perl twolf vortex vpr])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown profile error = %v, want %q", err, want)
+	}
+}
+
+// TestByNameReturnsCopy pins the table's immutability: mutating a
+// profile returned by ByName or Profiles never reaches the next lookup.
+func TestByNameReturnsCopy(t *testing.T) {
+	p, err := ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p
+	p.NumBlocks = -1
+	p.Mix[0] = 99
+	ps := Profiles()
+	for i := range ps {
+		ps[i].NumBlocks = -1
+	}
+	Names()[0] = "mutated"
+	again, err := ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != want {
+		t.Fatalf("ByName after mutation = %+v, want %+v", again, want)
+	}
+	if Profiles()[0].NumBlocks == -1 || Names()[0] == "mutated" {
+		t.Fatal("Profiles or Names exposed the shared table")
 	}
 }
 
