@@ -120,7 +120,8 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	data, err := os.ReadFile(s.path(kind, key))
+	p := s.path(kind, key)
+	data, err := os.ReadFile(p)
 	if err != nil {
 		s.misses.Inc()
 		return nil, false
@@ -131,7 +132,7 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 		s.corrupt.Inc()
 		s.misses.Inc()
 		//folint:allow(errdrop) best-effort delete of a corrupt artifact; the miss is already being returned
-		os.Remove(s.path(kind, key))
+		os.Remove(p)
 		return nil, false
 	}
 	s.hits.Inc()
@@ -141,7 +142,7 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	// (insertion-order FIFO).
 	now := time.Now()
 	//folint:allow(errdrop) best-effort recency bump; a failed Chtimes only weakens eviction ordering
-	os.Chtimes(s.path(kind, key), now, now)
+	os.Chtimes(p, now, now)
 	return payload, true
 }
 

@@ -3,8 +3,11 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -209,22 +212,50 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	type payload struct {
-		F float64
-		M map[int]int
-		S []int32
+// testPayload is a minimal fixed-codec payload: one float64 as its
+// little-endian bits, with errSentinel for anything else.
+type testPayload struct{ F float64 }
+
+var errSentinel = errors.New("test payload error")
+
+func (p *testPayload) MarshalBinary() ([]byte, error) {
+	if math.IsNaN(p.F) {
+		return nil, errSentinel
 	}
-	in := payload{F: 0.1 + 0.2, M: map[int]int{3: 4}, S: []int32{1, -1}}
-	b, err := EncodeGob(in)
+	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(p.F)), nil
+}
+
+func (p *testPayload) UnmarshalBinary(b []byte) error {
+	if len(b) != 8 {
+		return errSentinel
+	}
+	p.F = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return nil
+}
+
+// TestGobRoundTrip pins EncodeGob/DecodeGob (named for the payload
+// codec they once used) as thin wrappers over a type's binary codec:
+// the bytes round-trip exactly, and codec errors come back wrapped with
+// the operation, still matchable with errors.Is.
+func TestGobRoundTrip(t *testing.T) {
+	in := testPayload{F: 0.1 + 0.2}
+	b, err := EncodeGob(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out payload
+	var out testPayload
 	if err := DecodeGob(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.F != in.F || out.M[3] != 4 || len(out.S) != 2 {
-		t.Errorf("round trip mismatch: %+v", out)
+	if math.Float64bits(out.F) != math.Float64bits(in.F) {
+		t.Errorf("round trip changed %v to %v", in.F, out.F)
+	}
+
+	bad := testPayload{F: math.NaN()}
+	if _, err := EncodeGob(&bad); !errors.Is(err, errSentinel) || !strings.HasPrefix(err.Error(), "artifact: encode: ") {
+		t.Errorf("encode error = %v, want a wrapped %v", err, errSentinel)
+	}
+	if err := DecodeGob(b[:7], &out); !errors.Is(err, errSentinel) || !strings.HasPrefix(err.Error(), "artifact: decode: ") {
+		t.Errorf("decode error = %v, want a wrapped %v", err, errSentinel)
 	}
 }

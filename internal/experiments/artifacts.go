@@ -25,15 +25,17 @@ import (
 
 // analysisFormatVersion versions the analysis artifact payloads; part of
 // every analysis key, so schema changes invalidate instead of
-// misinterpreting.
-const analysisFormatVersion = 1
+// misinterpreting. Version 2 is the FOS1 binary codec
+// (analysiscodec.go); version-1 gob payloads sit under keys nothing
+// reads and age out under the store's byte budget.
+const analysisFormatVersion = 2
 
 // AnalysisArtifact bundles the derived per-trace model inputs that
 // /v1/predict and the experiment suite both consume: the measured IW
 // characteristic, its power-law fit, and the functional miss statistics.
-// All fields are exported and gob-serializable, and gob round-trips
-// float64 bits exactly, so a store-served artifact yields responses
-// byte-identical to a fresh computation.
+// It is stored in the FOS1 binary format (MarshalBinary), which
+// round-trips float64 bits exactly, so a store-served artifact yields
+// responses byte-identical to a fresh computation.
 type AnalysisArtifact struct {
 	Points  []iw.Point
 	Law     iw.PowerLaw

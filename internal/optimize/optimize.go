@@ -124,9 +124,17 @@ func (c *Config) setAxis(name string, v int) {
 }
 
 // valid reports whether the candidate is structurally evaluable: the
-// detailed-simulator configuration requires ROB ≥ window (uarch.Config),
-// so lattice points violating it are skipped without consuming budget.
-func (c Config) valid() bool { return c.ROB >= c.Window }
+// detailed-simulator configuration (uarch.Config.Validate) requires
+// ROB ≥ window and, when clustered, a width and window divisible by the
+// cluster count, so lattice points violating either are skipped without
+// consuming budget.
+func (c Config) valid() bool {
+	return c.ROB >= c.Window && divisible(c.Width, c.Clusters) && divisible(c.Window, c.Clusters)
+}
+
+// divisible reports whether v splits evenly across clusters (always
+// true when unclustered).
+func divisible(v, clusters int) bool { return clusters <= 1 || v%clusters == 0 }
 
 // less orders configs by the canonical axis order; used to restore
 // deterministic evaluation order after the seeded subsample shuffle.
@@ -382,7 +390,7 @@ func (s Spec) ValidateWith(known func(string) bool) error {
 		return fmt.Errorf("optimize: full lattice of %d points exceeds the %d-point limit", total, maxGridSize)
 	}
 	if valid == 0 {
-		return fmt.Errorf("optimize: no valid configuration in bounds (every lattice point has rob < window)")
+		return fmt.Errorf("optimize: no valid configuration in bounds (every lattice point has rob < window, or a width or window not divisible by its cluster count)")
 	}
 	if s.Budget < 1 {
 		return fmt.Errorf("optimize: budget %d < 1", s.Budget)
@@ -438,32 +446,45 @@ func (s Spec) normalizedBound(name string) Bound {
 }
 
 // gridCounts returns the full lattice cardinality and the number of
-// structurally valid points on it (rob ≥ window). The valid count is
-// computed analytically per (window, rob) pair, so it stays cheap even
-// at the lattice-size cap.
+// structurally valid points on it (Config.valid). Depth and fetch
+// buffer never affect validity, so the valid count is taken over the
+// (width, window, rob, clusters) sublattice only, per cluster count;
+// that stays cheap because it runs only when the full lattice is within
+// the size cap.
 func (s Spec) gridCounts() (total, valid int64) {
-	others := int64(1)
+	// Six axes of at most maxAxisValues values each cannot overflow.
+	total = 1
 	for _, name := range axisNames {
-		if name == "window" || name == "rob" {
-			continue
-		}
-		others *= int64(s.normalizedBound(name).count())
-		if others > maxGridSize {
-			return others * 4, 1 // over the cap either way; short-circuit
-		}
+		total *= int64(s.normalizedBound(name).count())
 	}
-	wb, rb := s.normalizedBound("window"), s.normalizedBound("rob")
-	var pairs int64
-	for i := 0; i < wb.count(); i++ {
-		w := wb.value(i)
-		for j := 0; j < rb.count(); j++ {
-			if rb.value(j) >= w {
-				pairs++
+	if total > maxGridSize {
+		return total, 0
+	}
+	others := int64(s.normalizedBound("depth").count()) * int64(s.normalizedBound("fetch_buffer").count())
+	wdb, wb := s.normalizedBound("width"), s.normalizedBound("window")
+	rb, cb := s.normalizedBound("rob"), s.normalizedBound("clusters")
+	for ci := 0; ci < cb.count(); ci++ {
+		c := cb.value(ci)
+		var widths, pairs int64
+		for i := 0; i < wdb.count(); i++ {
+			if divisible(wdb.value(i), c) {
+				widths++
 			}
 		}
+		for i := 0; i < wb.count(); i++ {
+			w := wb.value(i)
+			if !divisible(w, c) {
+				continue
+			}
+			for j := 0; j < rb.count(); j++ {
+				if rb.value(j) >= w {
+					pairs++
+				}
+			}
+		}
+		valid += others * widths * pairs
 	}
-	total = others * int64(wb.count()) * int64(rb.count())
-	return total, others * pairs
+	return total, valid
 }
 
 // objectiveNames returns the search's objective column names: one for a

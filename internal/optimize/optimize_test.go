@@ -274,6 +274,9 @@ func TestValidateRejects(t *testing.T) {
 		{"no valid configs", func(s *Spec) {
 			s.Bounds = map[string]Bound{"window": {Min: 200, Max: 200}, "rob": {Min: 100, Max: 100}}
 		}, "no valid configuration"},
+		{"indivisible clusters", func(s *Spec) {
+			s.Bounds = map[string]Bound{"clusters": {Min: 3, Max: 3}}
+		}, "no valid configuration"},
 	}
 	for _, tc := range cases {
 		spec := base()
@@ -313,6 +316,43 @@ func TestInvalidLatticePointsSkipped(t *testing.T) {
 	}
 	if bad.Load() != 0 {
 		t.Errorf("%d invalid candidates were evaluated", bad.Load())
+	}
+}
+
+// TestGridCountsMatchesEnumeration pins the analytic valid-point count
+// against a walk of the whole lattice with Config.valid, on bounds where
+// both the rob < window and the cluster-divisibility rules bite.
+func TestGridCountsMatchesEnumeration(t *testing.T) {
+	spec := Spec{Bounds: map[string]Bound{
+		"width":    {Min: 2, Max: 8, Step: 2},
+		"depth":    {Min: 3, Max: 5},
+		"window":   {Min: 12, Max: 48, Step: 12},
+		"rob":      {Min: 16, Max: 48, Step: 16},
+		"clusters": {Min: 1, Max: 4},
+	}}
+	var total, valid int64
+	var walk func(c Config, axis int)
+	walk = func(c Config, axis int) {
+		if axis == len(axisNames) {
+			total++
+			if c.valid() {
+				valid++
+			}
+			return
+		}
+		b := spec.normalizedBound(axisNames[axis])
+		for i := 0; i < b.count(); i++ {
+			c.setAxis(axisNames[axis], b.value(i))
+			walk(c, axis+1)
+		}
+	}
+	walk(Baseline(), 0)
+	gotTotal, gotValid := spec.gridCounts()
+	if gotTotal != total || gotValid != valid {
+		t.Errorf("gridCounts = (%d, %d), enumeration (%d, %d)", gotTotal, gotValid, total, valid)
+	}
+	if valid == 0 || valid == total {
+		t.Fatalf("degenerate bounds: %d of %d valid", valid, total)
 	}
 }
 

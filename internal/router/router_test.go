@@ -930,6 +930,13 @@ func TestBadInputParity(t *testing.T) {
 			"sweep":    `{"param":"rob","benches":["gzip"],"values":[16]}`,
 			"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"rob":{"min":16,"max":16}},"budget":4}`,
 		}},
+		// A sweep varies one parameter of the unclustered suite baseline,
+		// so no sweep grid value can hold an indivisible cluster count.
+		{"indivisible clusters", map[string]string{
+			"predict":  `{"bench":"gzip","machine":{"clusters":3}}`,
+			"batch":    item(`{"bench":"gzip","machine":{"clusters":3}}`),
+			"optimize": `{"workloads":[{"bench":"gzip"}],"bounds":{"clusters":{"min":3,"max":3}},"budget":4}`,
+		}},
 		{"malformed JSON", each(func(e string) string { return strings.TrimSuffix(valid[e], "}") })},
 		{"unknown field", map[string]string{
 			"predict":  `{"bench":"gzip","bogus":1}`,
@@ -971,7 +978,11 @@ func TestBadInputParity(t *testing.T) {
 	machineErrs := map[string]string{}
 	for _, class := range classes {
 		for _, endpoint := range []string{"predict", "batch", "sweep", "optimize"} {
-			path, body := "/v1/"+endpoint, class.bodies[endpoint]
+			body, ok := class.bodies[endpoint]
+			if !ok {
+				continue
+			}
+			path := "/v1/" + endpoint
 			t.Run(class.name+"/"+endpoint, func(t *testing.T) {
 				status, msg := outcome(t, daemon.URL, path, body, false)
 				if status < 400 || status >= 500 || msg == "" {
