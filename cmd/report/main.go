@@ -58,10 +58,7 @@ func main() {
 	}
 	if *timing {
 		fmt.Fprint(os.Stderr, timings.Render())
-		workloads, sims := suite.Counters()
-		fmt.Fprintf(os.Stderr, "counters: %d workload analyses, %d simulator runs\n", workloads, sims)
-		hits, misses := suite.PrepCounters()
-		fmt.Fprintf(os.Stderr, "prep cache: %d classification passes, %d reused\n", misses, hits)
+		suite.WriteCounters(os.Stderr)
 	}
 	fmt.Fprintf(os.Stderr, "report: %d/%d checks passed\n", r.Passed, r.Total)
 	if r.Passed < r.Total {

@@ -108,10 +108,7 @@ func Experiments(ctx context.Context, args []string, out io.Writer) error {
 		if body := timings.Render(); body != "" {
 			fmt.Fprint(out, body)
 		}
-		workloads, sims := suite.Counters()
-		fmt.Fprintf(out, "counters: %d workload analyses, %d simulator runs\n", workloads, sims)
-		hits, misses := suite.PrepCounters()
-		fmt.Fprintf(out, "prep cache: %d classification passes, %d reused\n", misses, hits)
+		suite.WriteCounters(out)
 	}
 	return nil
 }

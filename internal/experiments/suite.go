@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -119,12 +120,13 @@ func (s *Suite) Counters() (workloads, simulations int64) {
 	return s.workloadComputes.Load(), s.simRuns.Load()
 }
 
-// PrepCounters reports the classification cache's hit/miss counts: how
-// many simulator runs reused a cached functional pass versus paying for
-// one. Safe for concurrent use; zero when the suite was built without
-// NewSuite (caching disabled).
-func (s *Suite) PrepCounters() (hits, misses int64) {
-	return s.preps.Stats()
+// WriteCounters prints the -timing counter lines: the suite's analyses
+// and simulator runs, then its classification cache's passes and reuses.
+func (s *Suite) WriteCounters(w io.Writer) {
+	workloads, sims := s.Counters()
+	fmt.Fprintf(w, "counters: %d workload analyses, %d simulator runs\n", workloads, sims)
+	hits, misses := s.preps.Stats()
+	fmt.Fprintf(w, "prep cache: %d classification passes, %d reused\n", misses, hits)
 }
 
 // Preps exposes the suite's classification cache so callers that run the
@@ -139,12 +141,6 @@ func (s *Suite) Preps() *uarch.PrepCache { return s.preps }
 func (s *Suite) SetStore(st *artifact.Store) {
 	s.Store = st
 	s.preps.SetStore(st)
-}
-
-// CounterSources exposes the live workload-analysis and simulator-run
-// counters for metrics exporters; the values always match Counters.
-func (s *Suite) CounterSources() (workloads, simulations *metrics.Counter) {
-	return &s.workloadComputes, &s.simRuns
 }
 
 // Workload returns the cached analysis bundle for name, computing it on

@@ -3,7 +3,9 @@
 // simulator's prep cache, the experiment suite's -timing counters, and
 // the fomodeld daemon's /metrics endpoint all count through the types
 // defined here, so a number printed by the CLI and the same number
-// scraped from the server come from one source.
+// scraped from the server come from one source. A Family holds one
+// counter per label set, and Writer is the one Prometheus text writer
+// behind both the daemon's and the proxy's /metrics.
 //
 // All types are safe for concurrent use, and every method is a no-op (or
 // returns zero) on a nil receiver, so instrumented code paths need no

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"fomodel/internal/metrics"
 	"fomodel/internal/reqkey"
 	"fomodel/internal/server"
 )
@@ -95,7 +96,7 @@ func (rt *Router) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		elapsed := time.Since(begin)
 		rt.latency.Observe(elapsed.Seconds())
-		rt.requestCounter(path, sw.code).Inc()
+		rt.requests.Get(metrics.RequestKey{Path: path, Code: sw.code}).Inc()
 		attrs := []any{
 			"path", path,
 			"status", sw.code,

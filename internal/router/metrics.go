@@ -2,10 +2,10 @@ package router
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
 	"time"
+
+	"fomodel/internal/metrics"
 )
 
 // healthzReplica is one replica's state in the proxy's /healthz body.
@@ -84,99 +84,44 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders the proxy's counters in the Prometheus text
 // exposition format, replica-labeled where per-replica.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header().Set("Content-Type", metrics.ContentType)
+	mw := metrics.NewWriter(w)
+	mw.GaugeFloat("fomodelproxy_uptime_seconds", "Time since the proxy started.", time.Since(rt.start).Seconds(), 3)
+	mw.CounterVec("fomodelproxy_requests_total", "Requests served, by path and status code.", rt.requests.Samples())
+	mw.CounterVec("fomodelproxy_replica_requests_total", "Upstream attempts sent to the replica.",
+		rt.perReplica(func(r *replica) int64 { return r.requests.Load() }))
+	mw.CounterVec("fomodelproxy_replica_cache_hits_total", "Relayed responses the replica served from its cache.",
+		rt.perReplica(func(r *replica) int64 { return r.hits.Load() }))
+	mw.CounterVec("fomodelproxy_replica_hedges_total", "Hedged (second) attempts sent to the replica.",
+		rt.perReplica(func(r *replica) int64 { return r.hedges.Load() }))
+	mw.CounterVec("fomodelproxy_replica_failures_total", "Transport-level failures talking to the replica.",
+		rt.perReplica(func(r *replica) int64 { return r.failures.Load() }))
+	mw.CounterVec("fomodelproxy_replica_ejections_total", "Times the replica was removed from rotation.",
+		rt.perReplica(func(r *replica) int64 { return r.ejects.Load() }))
+	mw.CounterVec("fomodelproxy_replica_readmissions_total", "Times a /readyz probe re-admitted the replica.",
+		rt.perReplica(func(r *replica) int64 { return r.readmits.Load() }))
+	mw.GaugeVec("fomodelproxy_replica_healthy", "Whether the replica is in rotation (1) or ejected (0).",
+		rt.perReplica(func(r *replica) int64 {
+			if r.healthy.Load() {
+				return 1
+			}
+			return 0
+		}))
+	mw.GaugeVec("fomodelproxy_replica_in_flight", "Upstream attempts currently executing at the replica.",
+		rt.perReplica(func(r *replica) int64 { return r.inflight.Load() }))
+	mw.Gauge("fomodelproxy_workload_mirror_size", "Registered-workload names the proxy currently resolves.", int64(rt.mirror.size()))
+	mw.Counter("fomodelproxy_hedge_wins_total", "Requests won by the hedged (second) attempt.", rt.hedgeWins.Load())
+	mw.GaugeFloat("fomodelproxy_hedge_delay_seconds", "Current hedge timer, derived from upstream latency.", rt.hedgeDelay().Seconds(), 6)
+	mw.Histogram("fomodelproxy_upstream_duration_seconds", "Per-attempt upstream latency (hedge-delay source).", rt.upstream)
+	mw.Histogram("fomodelproxy_request_duration_seconds", "End-to-end proxy request latency.", rt.latency)
+}
 
-	fmt.Fprintf(w, "# HELP fomodelproxy_uptime_seconds Time since the proxy started.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "fomodelproxy_uptime_seconds %.3f\n", time.Since(rt.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_requests_total Requests served, by path and status code.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_requests_total counter\n")
-	rt.reqMu.Lock()
-	keys := make([]requestKey, 0, len(rt.requests))
-	for k := range rt.requests {
-		keys = append(keys, k)
+// perReplica samples one replica-labelled value for every replica, in
+// configuration order.
+func (rt *Router) perReplica(value func(*replica) int64) []metrics.Sample {
+	out := make([]metrics.Sample, len(rt.reps))
+	for i, rep := range rt.reps {
+		out[i] = metrics.Sample{Labels: metrics.Label("replica", rep.url), Value: value(rep)}
 	}
-	rt.reqMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].path != keys[j].path {
-			return keys[i].path < keys[j].path
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "fomodelproxy_requests_total{path=%q,code=\"%d\"} %d\n",
-			k.path, k.code, rt.requestCounter(k.path, k.code).Load())
-	}
-
-	type repMetric struct {
-		name, help string
-		value      func(*replica) int64
-	}
-	for _, m := range []repMetric{
-		{"fomodelproxy_replica_requests_total", "Upstream attempts sent to the replica.",
-			func(r *replica) int64 { return r.requests.Load() }},
-		{"fomodelproxy_replica_cache_hits_total", "Relayed responses the replica served from its cache.",
-			func(r *replica) int64 { return r.hits.Load() }},
-		{"fomodelproxy_replica_hedges_total", "Hedged (second) attempts sent to the replica.",
-			func(r *replica) int64 { return r.hedges.Load() }},
-		{"fomodelproxy_replica_failures_total", "Transport-level failures talking to the replica.",
-			func(r *replica) int64 { return r.failures.Load() }},
-		{"fomodelproxy_replica_ejections_total", "Times the replica was removed from rotation.",
-			func(r *replica) int64 { return r.ejects.Load() }},
-		{"fomodelproxy_replica_readmissions_total", "Times a /readyz probe re-admitted the replica.",
-			func(r *replica) int64 { return r.readmits.Load() }},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name)
-		for _, rep := range rt.reps {
-			fmt.Fprintf(w, "%s{replica=%q} %d\n", m.name, rep.url, m.value(rep))
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_replica_healthy Whether the replica is in rotation (1) or ejected (0).\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_replica_healthy gauge\n")
-	for _, rep := range rt.reps {
-		v := 0
-		if rep.healthy.Load() {
-			v = 1
-		}
-		fmt.Fprintf(w, "fomodelproxy_replica_healthy{replica=%q} %d\n", rep.url, v)
-	}
-	fmt.Fprintf(w, "# HELP fomodelproxy_replica_in_flight Upstream attempts currently executing at the replica.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_replica_in_flight gauge\n")
-	for _, rep := range rt.reps {
-		fmt.Fprintf(w, "fomodelproxy_replica_in_flight{replica=%q} %d\n", rep.url, rep.inflight.Load())
-	}
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_workload_mirror_size Registered-workload names the proxy currently resolves.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_workload_mirror_size gauge\n")
-	fmt.Fprintf(w, "fomodelproxy_workload_mirror_size %d\n", rt.mirror.size())
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_hedge_wins_total Requests won by the hedged (second) attempt.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "fomodelproxy_hedge_wins_total %d\n", rt.hedgeWins.Load())
-
-	fmt.Fprintf(w, "# HELP fomodelproxy_hedge_delay_seconds Current hedge timer, derived from upstream latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_hedge_delay_seconds gauge\n")
-	fmt.Fprintf(w, "fomodelproxy_hedge_delay_seconds %.6f\n", rt.hedgeDelay().Seconds())
-
-	upstream := rt.upstream.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodelproxy_upstream_duration_seconds Per-attempt upstream latency (hedge-delay source).\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_upstream_duration_seconds histogram\n")
-	for i, bound := range upstream.Bounds {
-		fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_bucket{le=\"%g\"} %d\n", bound, upstream.Cumulative[i])
-	}
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_bucket{le=\"+Inf\"} %d\n", upstream.Count)
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_sum %.6f\n", upstream.Sum)
-	fmt.Fprintf(w, "fomodelproxy_upstream_duration_seconds_count %d\n", upstream.Count)
-
-	latency := rt.latency.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodelproxy_request_duration_seconds End-to-end proxy request latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodelproxy_request_duration_seconds histogram\n")
-	for i, bound := range latency.Bounds {
-		fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_bucket{le=\"%g\"} %d\n", bound, latency.Cumulative[i])
-	}
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", latency.Count)
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_sum %.6f\n", latency.Sum)
-	fmt.Fprintf(w, "fomodelproxy_request_duration_seconds_count %d\n", latency.Count)
+	return out
 }

@@ -173,22 +173,16 @@ type Router struct {
 	latency *metrics.Histogram
 
 	hedgeWins  metrics.Counter
-	noCands    metrics.Counter
 	rrCursor   atomic.Uint64
 	reqIDSeq   atomic.Uint64
-	reqMu      sync.Mutex
-	requests   map[requestKey]*metrics.Counter
 	probeGroup sync.WaitGroup
+	// requests counts served requests by route pattern and status code.
+	requests metrics.Family[metrics.RequestKey]
 
 	// mirror tracks name → content hash for workload registrations the
 	// proxy has replicated, so registered names canonicalize to the same
 	// content-carrying keys on the proxy as on the daemons.
 	mirror *workloadMirror
-}
-
-type requestKey struct {
-	path string
-	code int
 }
 
 // New builds a router over cfg.Replicas. A nil logger discards logs.
@@ -214,7 +208,6 @@ func New(cfg Config, log *slog.Logger) (*Router, error) {
 		start:    time.Now(),
 		upstream: metrics.NewHistogram(metrics.HedgeLatencyBounds()...),
 		latency:  metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
-		requests: make(map[requestKey]*metrics.Counter),
 		mirror:   mirror,
 	}
 	for i, url := range cfg.Replicas {
@@ -446,7 +439,6 @@ type upstreamResult struct {
 func (rt *Router) forward(ctx context.Context, method, path string, body []byte, hdr http.Header, stream bool, key string) (*http.Response, *replica, error) {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
-		rt.noCands.Inc()
 		return nil, nil, errNoReplicas
 	}
 	results := make(chan upstreamResult, len(cands))
@@ -574,17 +566,4 @@ func (b *cancelOnClose) Close() error {
 // staying cheap and allocation-free to generate.
 func (rt *Router) nextRequestID() string {
 	return fmt.Sprintf("%x-%x", rt.start.UnixNano(), rt.reqIDSeq.Add(1))
-}
-
-// requestCounter returns the live counter for one (path, status) pair.
-func (rt *Router) requestCounter(path string, code int) *metrics.Counter {
-	rt.reqMu.Lock()
-	defer rt.reqMu.Unlock()
-	k := requestKey{path: path, code: code}
-	c := rt.requests[k]
-	if c == nil {
-		c = &metrics.Counter{}
-		rt.requests[k] = c
-	}
-	return c
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strings"
 
 	"fomodel/internal/metrics"
 	"fomodel/internal/registry"
@@ -130,6 +131,8 @@ func (s *Server) handleWorkloadDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.suite.Forget(name)
+	s.regRequests.Delete(workloadLabel(name))
+	s.regHits.Delete(workloadLabel(name))
 	body, err := EncodeIndented(WorkloadDeletion{Name: name, Deleted: true})
 	s.finishComputeState(w.(*statusWriter), http.StatusOK, body, "", err)
 }
@@ -142,31 +145,27 @@ func (s *Server) knownWorkload(bench string) bool {
 
 // noteRegisteredUse records one predict evaluation of a registered
 // workload for the per-workload /metrics accounting. Built-in names
-// (and names no longer registered) are not tracked, so the counter maps
-// stay bounded by the registered population.
+// (and names no longer registered) are not tracked, and a delete drops
+// the name's series, so both families stay bounded by the registered
+// population.
 func (s *Server) noteRegisteredUse(bench string, hit bool) {
-	reg := s.cfg.Registry
-	if reg == nil {
+	if _, ok := s.cfg.Registry.Get(bench); !ok {
 		return
 	}
-	if _, ok := reg.Get(bench); !ok {
-		return
-	}
-	s.registeredUseCounter(s.regRequests, bench).Inc()
+	k := workloadLabel(bench)
+	s.regRequests.Get(k).Inc()
+	// Created on every use, so both families always list the same names.
+	hits := s.regHits.Get(k)
 	if hit {
-		s.registeredUseCounter(s.regHits, bench).Inc()
+		hits.Inc()
 	}
 }
 
-// registeredUseCounter returns the live counter for one registered
-// workload in the given map, creating it on first use.
-func (s *Server) registeredUseCounter(m map[string]*metrics.Counter, name string) *metrics.Counter {
-	s.regUseMu.Lock()
-	defer s.regUseMu.Unlock()
-	c := m[name]
-	if c == nil {
-		c = &metrics.Counter{}
-		m[name] = c
-	}
-	return c
-}
+// workloadLabel keys the per-registered-workload counter families.
+type workloadLabel string
+
+// Labels implements metrics.Key.
+func (w workloadLabel) Labels() string { return metrics.Label("workload", string(w)) }
+
+// Compare implements metrics.Key.
+func (w workloadLabel) Compare(o workloadLabel) int { return strings.Compare(string(w), string(o)) }

@@ -349,3 +349,23 @@ func TestRegistryMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestDeletePrunesRegisteredWorkloadSeries: deleting a registered
+// workload drops its per-workload /metrics series, so the exposition
+// stays bounded by the names currently registered.
+func TestDeletePrunesRegisteredWorkloadSeries(t *testing.T) {
+	s := testServer(Config{})
+	register(t, s, "wl", profileJSON(t, "gzip", "wl"), "")
+	if rec := post(s, "/v1/predict", `{"bench":"wl"}`); rec.Code != http.StatusOK {
+		t.Fatalf("predict: %d", rec.Code)
+	}
+	if m := get(s, "/metrics").Body.String(); !strings.Contains(m, `workload="wl"`) {
+		t.Fatalf("no wl series after a predict:\n%s", m)
+	}
+	if rec := doReq(s, http.MethodDelete, "/v1/workloads/wl", "", ""); rec.Code != http.StatusOK {
+		t.Fatalf("delete: %d", rec.Code)
+	}
+	if m := get(s, "/metrics").Body.String(); strings.Contains(m, `workload="wl"`) {
+		t.Errorf("deleted workload still has series:\n%s", m)
+	}
+}

@@ -10,9 +10,8 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -115,8 +114,8 @@ type Server struct {
 	// never warm.
 	notReady atomic.Bool
 
-	reqMu    sync.Mutex
-	requests map[requestKey]*metrics.Counter
+	// requests counts served requests by route pattern and status code.
+	requests metrics.Family[metrics.RequestKey]
 
 	// traces is the bounded LRU of non-default traces, keyed by content
 	// ID (recipe for built-ins, profile content hash + recipe for
@@ -128,12 +127,11 @@ type Server struct {
 	traceEvictions *metrics.Counter
 	analysis       *flight.Cache[string, *experiments.AnalysisArtifact]
 
-	// Per-registered-workload request/hit accounting, keyed by workload
-	// name; populated only for names present in the registry, so the
-	// maps are bounded by the registered population.
-	regUseMu    sync.Mutex
-	regRequests map[string]*metrics.Counter
-	regHits     map[string]*metrics.Counter
+	// Per-registered-workload request/hit accounting; a name is added
+	// only while registered and dropped when deleted, so both families
+	// are bounded by the registered population.
+	regRequests metrics.Family[workloadLabel]
+	regHits     metrics.Family[workloadLabel]
 
 	// Optimize-search instrumentation: candidate evaluations run (and
 	// the share served by the response cache), refinement rounds, and
@@ -153,11 +151,6 @@ type Server struct {
 	panicHook func(name string)
 }
 
-type requestKey struct {
-	path string
-	code int
-}
-
 // New builds a server. A nil logger discards logs.
 func New(cfg Config, log *slog.Logger) *Server {
 	cfg = cfg.withDefaults()
@@ -172,18 +165,15 @@ func New(cfg Config, log *slog.Logger) *Server {
 	}
 	suite.Lookup = cfg.Registry.Snapshot
 	s := &Server{
-		cfg:         cfg,
-		log:         log,
-		suite:       suite,
-		cache:       newRespCache(cfg.CacheEntries),
-		start:       time.Now(),
-		latency:     metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
-		slots:       make(chan struct{}, cfg.MaxInflight),
-		requests:    make(map[requestKey]*metrics.Counter),
-		traces:      flight.New[string, *trace.Trace](cfg.TraceCacheEntries, flight.ForgetErrors),
-		analysis:    flight.New[string, *experiments.AnalysisArtifact](cfg.AnalysisCacheEntries, flight.ForgetErrors),
-		regRequests: make(map[string]*metrics.Counter),
-		regHits:     make(map[string]*metrics.Counter),
+		cfg:      cfg,
+		log:      log,
+		suite:    suite,
+		cache:    newRespCache(cfg.CacheEntries),
+		start:    time.Now(),
+		latency:  metrics.NewHistogram(metrics.DefaultLatencyBounds()...),
+		slots:    make(chan struct{}, cfg.MaxInflight),
+		traces:   flight.New[string, *trace.Trace](cfg.TraceCacheEntries, flight.ForgetErrors),
+		analysis: flight.New[string, *experiments.AnalysisArtifact](cfg.AnalysisCacheEntries, flight.ForgetErrors),
 	}
 	s.keys = cfg.KeyDefaults()
 	s.traceEvictions = &s.traces.Stats().Evictions
@@ -332,7 +322,7 @@ func (s *Server) finish(path string, sw *statusWriter, start time.Time, cacheSta
 	}
 	elapsed := time.Since(start)
 	s.latency.Observe(elapsed.Seconds())
-	s.requestCounter(path, sw.code).Inc()
+	s.requests.Get(metrics.RequestKey{Path: path, Code: sw.code}).Inc()
 	attrs := []any{
 		"path", path,
 		"status", sw.code,
@@ -346,19 +336,6 @@ func (s *Server) finish(path string, sw *statusWriter, start time.Time, cacheSta
 		attrs = append(attrs, "request_id", sw.reqID)
 	}
 	s.log.Info("request", attrs...)
-}
-
-// requestCounter returns the live counter for one (path, status) pair.
-func (s *Server) requestCounter(path string, code int) *metrics.Counter {
-	s.reqMu.Lock()
-	defer s.reqMu.Unlock()
-	k := requestKey{path: path, code: code}
-	c := s.requests[k]
-	if c == nil {
-		c = &metrics.Counter{}
-		s.requests[k] = c
-	}
-	return c
 }
 
 // errorResponse is the structured error body of every non-200 response.
@@ -542,184 +519,72 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // metrics.Counter values the CLI's -timing flag prints — one counter
 // type, one source, two surfaces.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
-	fmt.Fprintf(w, "# HELP fomodeld_uptime_seconds Time since the server started.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "fomodeld_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP fomodeld_requests_total Requests served, by path and status code.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_total counter\n")
-	s.reqMu.Lock()
-	keys := make([]requestKey, 0, len(s.requests))
-	for k := range s.requests {
-		keys = append(keys, k)
-	}
-	s.reqMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].path != keys[j].path {
-			return keys[i].path < keys[j].path
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "fomodeld_requests_total{path=%q,code=\"%d\"} %d\n",
-			k.path, k.code, s.requestCounter(k.path, k.code).Load())
-	}
-
-	fmt.Fprintf(w, "# HELP fomodeld_requests_in_flight API requests currently executing.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_in_flight gauge\n")
-	fmt.Fprintf(w, "fomodeld_requests_in_flight %d\n", s.inflight.Load())
-
-	fmt.Fprintf(w, "# HELP fomodeld_requests_shed_total Requests rejected with 429 by the in-flight limiter.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_requests_shed_total counter\n")
-	fmt.Fprintf(w, "fomodeld_requests_shed_total %d\n", s.shed.Load())
+	w.Header().Set("Content-Type", metrics.ContentType)
+	mw := metrics.NewWriter(w)
+	mw.GaugeFloat("fomodeld_uptime_seconds", "Time since the server started.", time.Since(s.start).Seconds(), 3)
+	mw.CounterVec("fomodeld_requests_total", "Requests served, by path and status code.", s.requests.Samples())
+	mw.Gauge("fomodeld_requests_in_flight", "API requests currently executing.", s.inflight.Load())
+	mw.Counter("fomodeld_requests_shed_total", "Requests rejected with 429 by the in-flight limiter.", s.shed.Load())
 
 	cacheHits, cacheMisses := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_hits_total Responses served from the canonical-request cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_hits_total %d\n", cacheHits)
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_misses_total Responses computed because the cache had no entry.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_misses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_misses_total %d\n", cacheMisses)
-	fmt.Fprintf(w, "# HELP fomodeld_response_cache_entries Entries currently cached.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_response_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_response_cache_entries %d\n", s.cache.Len())
+	mw.Counter("fomodeld_response_cache_hits_total", "Responses served from the canonical-request cache.", cacheHits)
+	mw.Counter("fomodeld_response_cache_misses_total", "Responses computed because the cache had no entry.", cacheMisses)
+	mw.Gauge("fomodeld_response_cache_entries", "Entries currently cached.", int64(s.cache.Len()))
 
-	prepHits, prepMisses := s.suite.Preps().Counters()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_reuses_total Simulator runs that reused a cached classification pass.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_reuses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_reuses_total %d\n", prepHits.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_passes_total Classification passes computed.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_passes_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_passes_total %d\n", prepMisses.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_evictions_total Prep-cache entries (classification passes and producer-link sets) evicted by the LRU bounds.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_evictions_total %d\n", s.suite.Preps().Evictions().Load())
-	prepEntries, prodEntries := s.suite.Preps().Len()
-	fmt.Fprintf(w, "# HELP fomodeld_prep_cache_entries Classification passes plus per-trace producer-link sets currently cached.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_prep_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_prep_cache_entries %d\n", prepEntries+prodEntries)
+	preps := s.suite.Preps()
+	prepHits, prepMisses := preps.Stats()
+	mw.Counter("fomodeld_prep_cache_reuses_total", "Simulator runs that reused a cached classification pass.", prepHits)
+	mw.Counter("fomodeld_prep_cache_passes_total", "Classification passes computed.", prepMisses)
+	mw.Counter("fomodeld_prep_cache_evictions_total", "Prep-cache entries (classification passes and producer-link sets) evicted by the LRU bounds.", preps.Evictions().Load())
+	prepEntries, prodEntries := preps.Len()
+	mw.Gauge("fomodeld_prep_cache_entries", "Classification passes plus per-trace producer-link sets currently cached.", int64(prepEntries+prodEntries))
 
-	fmt.Fprintf(w, "# HELP fomodeld_trace_cache_entries Non-default traces currently cached.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_trace_cache_entries gauge\n")
-	fmt.Fprintf(w, "fomodeld_trace_cache_entries %d\n", s.traceCacheLen())
-	fmt.Fprintf(w, "# HELP fomodeld_trace_cache_evictions_total Traces evicted from the bounded trace cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_trace_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fomodeld_trace_cache_evictions_total %d\n", s.traceEvictions.Load())
-
+	mw.Gauge("fomodeld_trace_cache_entries", "Non-default traces currently cached.", int64(s.traceCacheLen()))
+	mw.Counter("fomodeld_trace_cache_evictions_total", "Traces evicted from the bounded trace cache.", s.traceEvictions.Load())
 	anStats := s.analysis.Stats()
-	anHits, anMisses := anStats.Hits.Load(), anStats.Misses.Load()
-	fmt.Fprintf(w, "# HELP fomodeld_analysis_cache_hits_total Predict analyses served from the in-memory content-keyed cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_analysis_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_analysis_cache_hits_total %d\n", anHits)
-	fmt.Fprintf(w, "# HELP fomodeld_analysis_cache_misses_total Predict analyses computed or loaded from the store.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_analysis_cache_misses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_analysis_cache_misses_total %d\n", anMisses)
+	mw.Counter("fomodeld_analysis_cache_hits_total", "Predict analyses served from the in-memory content-keyed cache.", anStats.Hits.Load())
+	mw.Counter("fomodeld_analysis_cache_misses_total", "Predict analyses computed or loaded from the store.", anStats.Misses.Load())
 
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluations_total Model evaluations (candidate x workload) run by design-space searches.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluations_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_evaluations_total %d\n", s.optEvals.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_evaluation_cache_hits_total Optimize evaluations answered by the response cache.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_evaluation_cache_hits_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_evaluation_cache_hits_total %d\n", s.optEvalHits.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_refinement_rounds_total Refinement rounds run by design-space searches.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_refinement_rounds_total counter\n")
-	fmt.Fprintf(w, "fomodeld_optimize_refinement_rounds_total %d\n", s.optRounds.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_optimize_frontier_size Frontier size of the most recent completed search.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_optimize_frontier_size gauge\n")
-	fmt.Fprintf(w, "fomodeld_optimize_frontier_size %d\n", s.optFrontier.Load())
+	mw.Counter("fomodeld_optimize_evaluations_total", "Model evaluations (candidate x workload) run by design-space searches.", s.optEvals.Load())
+	mw.Counter("fomodeld_optimize_evaluation_cache_hits_total", "Optimize evaluations answered by the response cache.", s.optEvalHits.Load())
+	mw.Counter("fomodeld_optimize_refinement_rounds_total", "Refinement rounds run by design-space searches.", s.optRounds.Load())
+	mw.Gauge("fomodeld_optimize_frontier_size", "Frontier size of the most recent completed search.", s.optFrontier.Load())
 
-	if reg := s.cfg.Registry; reg != nil {
-		registers, deletes, rejects, persistErrors := reg.Stats()
-		fmt.Fprintf(w, "# HELP fomodeld_registry_registrations_total Custom workloads registered (including replacements).\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_registrations_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_registrations_total %d\n", registers)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_deletions_total Custom workloads deleted.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_deletions_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_deletions_total %d\n", deletes)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_rejections_total Registrations rejected by validation, collision, or quota.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_rejections_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_rejections_total %d\n", rejects)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_persist_errors_total Failed writes of the registry index to the artifact store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_persist_errors_total counter\n")
-		fmt.Fprintf(w, "fomodeld_registry_persist_errors_total %d\n", persistErrors)
-
-		usage := reg.TenantUsage()
-		tenants := make([]string, 0, len(usage))
-		for t := range usage {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		fmt.Fprintf(w, "# HELP fomodeld_registry_workloads Registered workloads currently held, by tenant.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_workloads gauge\n")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "fomodeld_registry_workloads{tenant=%q} %d\n", t, usage[t].Count)
-		}
-		fmt.Fprintf(w, "# HELP fomodeld_registry_bytes Encoded profile bytes currently held, by tenant.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registry_bytes gauge\n")
-		for _, t := range tenants {
-			fmt.Fprintf(w, "fomodeld_registry_bytes{tenant=%q} %d\n", t, usage[t].Bytes)
-		}
-
-		s.regUseMu.Lock()
-		names := make([]string, 0, len(s.regRequests))
-		for name := range s.regRequests {
-			names = append(names, name)
-		}
-		s.regUseMu.Unlock()
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP fomodeld_registered_workload_requests_total Predict evaluations referencing a registered workload, by name.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registered_workload_requests_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "fomodeld_registered_workload_requests_total{workload=%q} %d\n",
-				name, s.registeredUseCounter(s.regRequests, name).Load())
-		}
-		fmt.Fprintf(w, "# HELP fomodeld_registered_workload_cache_hits_total Registered-workload evaluations served from the response cache, by name.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_registered_workload_cache_hits_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(w, "fomodeld_registered_workload_cache_hits_total{workload=%q} %d\n",
-				name, s.registeredUseCounter(s.regHits, name).Load())
-		}
+	reg := s.cfg.Registry
+	registers, deletes, rejects, persistErrors := reg.Stats()
+	mw.Counter("fomodeld_registry_registrations_total", "Custom workloads registered (including replacements).", registers)
+	mw.Counter("fomodeld_registry_deletions_total", "Custom workloads deleted.", deletes)
+	mw.Counter("fomodeld_registry_rejections_total", "Registrations rejected by validation, collision, or quota.", rejects)
+	mw.Counter("fomodeld_registry_persist_errors_total", "Failed writes of the registry index to the artifact store.", persistErrors)
+	usage := reg.TenantUsage()
+	tenants := make([]string, 0, len(usage))
+	for t := range usage {
+		tenants = append(tenants, t)
 	}
+	slices.Sort(tenants)
+	counts := make([]metrics.Sample, len(tenants))
+	bytes := make([]metrics.Sample, len(tenants))
+	for i, t := range tenants {
+		counts[i] = metrics.Sample{Labels: metrics.Label("tenant", t), Value: int64(usage[t].Count)}
+		bytes[i] = metrics.Sample{Labels: counts[i].Labels, Value: usage[t].Bytes}
+	}
+	mw.GaugeVec("fomodeld_registry_workloads", "Registered workloads currently held, by tenant.", counts)
+	mw.GaugeVec("fomodeld_registry_bytes", "Encoded profile bytes currently held, by tenant.", bytes)
+	mw.CounterVec("fomodeld_registered_workload_requests_total", "Predict evaluations referencing a registered workload, by name.", s.regRequests.Samples())
+	mw.CounterVec("fomodeld_registered_workload_cache_hits_total", "Registered-workload evaluations served from the response cache, by name.", s.regHits.Samples())
 
 	if st := s.cfg.Store; st != nil {
 		hits, misses, corrupt, writes, evictions := st.Stats()
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_hits_total Artifacts served from the persistent store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_hits_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_hits_total %d\n", hits)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_misses_total Store lookups that found no artifact.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_misses_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_misses_total %d\n", misses)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_corrupt_total Artifacts rejected by checksum or framing validation.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_corrupt_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_corrupt_total %d\n", corrupt)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_writes_total Artifacts written to the store.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_writes_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_writes_total %d\n", writes)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_evictions_total Artifacts evicted by the store size bound.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_evictions_total counter\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_evictions_total %d\n", evictions)
-		fmt.Fprintf(w, "# HELP fomodeld_artifact_store_bytes Bytes currently stored on disk.\n")
-		fmt.Fprintf(w, "# TYPE fomodeld_artifact_store_bytes gauge\n")
-		fmt.Fprintf(w, "fomodeld_artifact_store_bytes %d\n", st.SizeBytes())
+		mw.Counter("fomodeld_artifact_store_hits_total", "Artifacts served from the persistent store.", hits)
+		mw.Counter("fomodeld_artifact_store_misses_total", "Store lookups that found no artifact.", misses)
+		mw.Counter("fomodeld_artifact_store_corrupt_total", "Artifacts rejected by checksum or framing validation.", corrupt)
+		mw.Counter("fomodeld_artifact_store_writes_total", "Artifacts written to the store.", writes)
+		mw.Counter("fomodeld_artifact_store_evictions_total", "Artifacts evicted by the store size bound.", evictions)
+		mw.Gauge("fomodeld_artifact_store_bytes", "Bytes currently stored on disk.", st.SizeBytes())
 	}
 
-	workloads, sims := s.suite.CounterSources()
-	fmt.Fprintf(w, "# HELP fomodeld_workload_analyses_total Workload analysis bundles computed.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_workload_analyses_total counter\n")
-	fmt.Fprintf(w, "fomodeld_workload_analyses_total %d\n", workloads.Load())
-	fmt.Fprintf(w, "# HELP fomodeld_sim_runs_total Detailed simulator runs.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_sim_runs_total counter\n")
-	fmt.Fprintf(w, "fomodeld_sim_runs_total %d\n", sims.Load())
-
-	snap := s.latency.Snapshot()
-	fmt.Fprintf(w, "# HELP fomodeld_request_duration_seconds Request latency.\n")
-	fmt.Fprintf(w, "# TYPE fomodeld_request_duration_seconds histogram\n")
-	for i, bound := range snap.Bounds {
-		fmt.Fprintf(w, "fomodeld_request_duration_seconds_bucket{le=\"%g\"} %d\n", bound, snap.Cumulative[i])
-	}
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", snap.Count)
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_sum %.6f\n", snap.Sum)
-	fmt.Fprintf(w, "fomodeld_request_duration_seconds_count %d\n", snap.Count)
+	workloads, sims := s.suite.Counters()
+	mw.Counter("fomodeld_workload_analyses_total", "Workload analysis bundles computed.", workloads)
+	mw.Counter("fomodeld_sim_runs_total", "Detailed simulator runs.", sims)
+	mw.Histogram("fomodeld_request_duration_seconds", "Request latency.", s.latency)
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fomodel/internal/metrics"
 )
 
 // testServer builds a small, fast server for handler tests.
@@ -248,11 +250,11 @@ func TestClientDisconnectCancelsSweep(t *testing.T) {
 	if rec.Body.Len() != 0 {
 		t.Errorf("disconnected client still received a body: %s", rec.Body.String())
 	}
-	if got := s.requestCounter("/v1/sweep", statusCodeClientGone).Load(); got != 1 {
+	if got := s.requests.Get(metrics.RequestKey{Path: "/v1/sweep", Code: statusCodeClientGone}).Load(); got != 1 {
 		t.Errorf("499 counter = %d, want 1", got)
 	}
-	if _, sims := s.suite.CounterSources(); sims.Load() != 0 {
-		t.Errorf("canceled sweep still ran %d simulations", sims.Load())
+	if _, sims := s.suite.Counters(); sims != 0 {
+		t.Errorf("canceled sweep still ran %d simulations", sims)
 	}
 	// The canceled computation must not be cached: a live client retrying
 	// the same sweep computes it fresh and succeeds.

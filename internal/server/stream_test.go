@@ -137,8 +137,7 @@ func TestStreamedSweepDisconnectStopsCells(t *testing.T) {
 	if w.flushs == 0 {
 		t.Errorf("streamed rows were not flushed")
 	}
-	_, sims := s.suite.CounterSources()
-	if got := sims.Load(); got >= 4 || got < 1 {
+	if _, got := s.suite.Counters(); got >= 4 || got < 1 {
 		t.Errorf("simulator runs after disconnect = %d, want at least 1 but fewer than the 4-cell grid", got)
 	}
 }

@@ -285,17 +285,6 @@ func (pc *PrepCache) Stats() (hits, misses int64) {
 	return st.Hits.Load(), st.Misses.Load()
 }
 
-// Counters exposes the live hit/miss counters themselves (not copies),
-// so a metrics exporter can register them once and always report the
-// same values Stats prints. Nil on a nil cache.
-func (pc *PrepCache) Counters() (hits, misses *metrics.Counter) {
-	if pc == nil {
-		return nil, nil
-	}
-	st := pc.preps.Stats()
-	return &st.Hits, &st.Misses
-}
-
 // Evictions exposes the live eviction counter; nil on a nil cache.
 func (pc *PrepCache) Evictions() *metrics.Counter {
 	if pc == nil {
