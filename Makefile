@@ -20,6 +20,7 @@ lint:
 fuzz-smoke:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 30s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzAnalysisArtifactDecode -fuzztime 30s
+	$(GO) test ./internal/iw -run '^$$' -fuzz FuzzCharacteristicClosedForm -fuzztime 30s
 	$(GO) test ./internal/reqkey -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 30s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzReadProfile -fuzztime 30s
 

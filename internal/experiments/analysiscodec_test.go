@@ -305,6 +305,48 @@ func TestAnalysisCodecFieldDrift(t *testing.T) {
 	}
 }
 
+// TestAnalysisBundleClosedFormBytes pins the stored analysis bytes to
+// the IW characteristic's cycle simulation: on every bench, the FOS1
+// bundle ComputeAnalysis builds from the closed form encodes to the
+// same bytes as one built from the simulated points. An issue width of
+// at least the largest window never binds, so it runs the simulation
+// with unbounded issue.
+func TestAnalysisBundleClosedFormBytes(t *testing.T) {
+	windows := iw.DefaultWindows()
+	for _, name := range workload.Names() {
+		tr, err := workload.Generate(name, codecTestN, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg := statsConfig(uarch.DefaultConfig(), 128)
+		closed, err := ComputeAnalysis(nil, tr, windows, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := iw.Characteristic(tr, windows, iw.Options{IssueWidth: windows[len(windows)-1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		law, err := iw.Fit(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated := &AnalysisArtifact{Points: points, Law: law, Summary: closed.Summary}
+		got, err := closed.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := simulated.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: closed-form bundle differs from the simulated one\n got %v\nwant %v",
+				name, closed.Points, simulated.Points)
+		}
+	}
+}
+
 // TestAnalysisDecodeAllocs is the deterministic allocation gate on the
 // warm-store decode: a real analysis decodes in a handful of
 // allocations (the summary, its name, slices and maps), where gob's

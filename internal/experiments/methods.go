@@ -28,6 +28,11 @@ type MethodsResult struct {
 	// Wall-clock totals per methodology across all benchmarks (the
 	// reference simulation time is RefTime).
 	RefTime, ModelTime, StatSimTime, SampledTime time.Duration
+	// RefInstrs is the number of instructions the reference simulations
+	// stepped through the pipeline, and ModelEvals the number of model
+	// evaluations, each one closed-form formula over a bench's inputs:
+	// the deterministic measure of the two methodologies' work.
+	RefInstrs, ModelEvals int
 	// SampledFraction is the fraction of each trace timed by sampling.
 	SampledFraction float64
 }
@@ -47,6 +52,7 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 	type benchResult struct {
 		row                              MethodsRow
 		refT, modelT, statSimT, sampledT time.Duration
+		refInstrs                        int
 		sampledFraction                  float64
 	}
 	results, err := MapWorkloads(s, func(w *Workload) (benchResult, error) {
@@ -57,6 +63,7 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 			return br, err
 		}
 		br.refT = time.Since(t0)
+		br.refInstrs = ref.Instructions
 
 		t0 = time.Now()
 		est, err := s.Machine.Estimate(w.Inputs, modelOptions())
@@ -101,6 +108,8 @@ func MethodologyComparison(s *Suite) (*MethodsResult, error) {
 		res.ModelTime += br.modelT
 		res.StatSimTime += br.statSimT
 		res.SampledTime += br.sampledT
+		res.RefInstrs += br.refInstrs
+		res.ModelEvals++
 		res.SampledFraction = br.sampledFraction
 	}
 	n := float64(len(res.Rows))
@@ -134,6 +143,7 @@ func (r *MethodsResult) tab() *table {
 	t.addNote("wall clock: reference %v, model %v, stat-sim %v, sampled %v",
 		r.RefTime.Round(time.Millisecond), r.ModelTime.Round(time.Microsecond),
 		r.StatSimTime.Round(time.Millisecond), r.SampledTime.Round(time.Millisecond))
+	t.addNote("work: reference %d instructions simulated, model %d evaluations", r.RefInstrs, r.ModelEvals)
 	return t
 }
 

@@ -224,9 +224,12 @@ func TestMethodologyComparison(t *testing.T) {
 		t.Fatalf("errors: model %v, statsim %v, sampled %v",
 			res.MeanModelErr, res.MeanStatSimErr, res.MeanSampledErr)
 	}
-	// The model must be the cheapest by orders of magnitude.
-	if res.ModelTime*100 > res.RefTime {
-		t.Fatalf("model time %v not ≪ reference %v", res.ModelTime, res.RefTime)
+	// The model must be the cheapest by orders of magnitude, counted in
+	// deterministic work: instructions the reference simulated against
+	// model evaluations.
+	if res.ModelEvals != len(res.Rows) || res.ModelEvals*100 > res.RefInstrs {
+		t.Fatalf("model evaluations %d not ≪ reference instructions simulated %d",
+			res.ModelEvals, res.RefInstrs)
 	}
 	if res.SampledFraction <= 0 || res.SampledFraction > 0.5 {
 		t.Fatalf("sampled fraction %v", res.SampledFraction)

@@ -26,28 +26,14 @@ func benchTrace(b *testing.B) *trace.Trace {
 	return benchTraceVal
 }
 
-// BenchmarkCharacteristic times the full six-window IW sweep, including
-// the one-shot producer-link derivation.
+// BenchmarkCharacteristic times the full six-window IW sweep: one
+// closed-form pass over the trace.
 func BenchmarkCharacteristic(b *testing.B) {
 	t := benchTrace(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := iw.Characteristic(t, iw.DefaultWindows(), iw.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCharacteristicSharedProducers times the sweep when the caller
-// supplies precomputed dependence links (the suite's configuration).
-func BenchmarkCharacteristicSharedProducers(b *testing.B) {
-	t := benchTrace(b)
-	prod := trace.ComputeProducers(t)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := iw.Characteristic(t, iw.DefaultWindows(), iw.Options{Producers: prod}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,18 +2,50 @@
 // issue-window size W and average issue rate I — from an instruction trace,
 // and fits it to the paper's power law I = alpha * W^beta.
 //
-// Following §3 of the paper, the characteristic is measured with an
-// idealized trace-driven simulation: no miss-events, an unbounded number of
-// functional units, unbounded issue and dispatch width, and unit latencies;
-// the only limited resource is the issue window. The resulting curve is
-// implementation independent — it reflects only the register dependence
-// structure of the benchmark. Non-unit latencies are handled afterwards via
-// Little's law (I_L = I_1/L), and a finite machine issue width clips the
-// curve at saturation (Fig. 6 / Jouppi's observation).
+// Following §3 of the paper, the characteristic is that of an idealized
+// machine: no miss-events, an unbounded number of functional units,
+// unbounded issue and dispatch width, and unit latencies; the only limited
+// resource is the issue window. The resulting curve is implementation
+// independent — it reflects only the register dependence structure of the
+// benchmark. Non-unit latencies are handled afterwards via Little's law
+// (I_L = I_1/L), and a finite machine issue width clips the curve at
+// saturation (Fig. 6 / Jouppi's observation).
+//
+// # Closed form
+//
+// With unbounded issue width the idealized machine needs no cycle-by-cycle
+// simulation. The window fills in program order and a slot frees in the
+// cycle its instruction issues, so instruction i enters the window at the
+// end of the first cycle c in which at most W-1 of instructions 0..i-1 are
+// still unissued, that is #{j < i : t_j > c} < W. That c is X_i, the W-th
+// largest issue cycle t_j over j < i (0 while i < W: the window starts
+// full). Instruction i issues as soon as it is in the window and both
+// source registers are ready:
+//
+//	t_i = max(X_i + 1, ready(src1), ready(src2))
+//
+// where ready(r) is t_p + lat(p) for the last instruction p before i that
+// wrote r. A register-indexed ready table therefore replaces producer links,
+// and IPC is n / max_i t_i, exactly the simulation's n / cycles.
+//
+// X_i never decreases: adding t_i can only push the W-th largest value up.
+// Each window keeps a count of issues per cycle above X and the number of
+// them (below W). Adding t_i > X increments both; while that number reaches
+// W, X steps forward one cycle and drops the issues counted there. X only
+// moves forward, so each instruction costs amortized O(1) per window. The
+// live cycles (X, max t] span at most W*maxLat (every issue more than maxLat
+// above X waits on a producer that also issued above X), so the counts live
+// in a ring of that size, sized once and grown only for extreme latency
+// tables. Characteristic updates every window in one pass over the trace.
+//
+// A positive Options.IssueWidth caps issue per cycle oldest first, which
+// breaks the closed form; those curves come from the cycle-by-cycle
+// simulation, which is also the closed form's test oracle.
 package iw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fomodel/internal/isa"
 	"fomodel/internal/trace"
@@ -27,7 +59,7 @@ type Point struct {
 	I float64
 }
 
-// Options control the idealized simulation.
+// Options control the idealized machine.
 type Options struct {
 	// Latencies, when non-nil, replaces unit latencies with the given
 	// table. The paper's Table 1 parameters use unit latencies and fold
@@ -35,18 +67,13 @@ type Options struct {
 	// ablation.
 	Latencies *isa.LatencyTable
 	// IssueWidth, when positive, caps instructions issued per cycle
-	// (oldest first). Zero means unbounded (the paper's ideal case).
+	// (oldest first). Zero means unbounded (the paper's ideal case);
+	// negative is an error.
 	IssueWidth int
-	// Producers, when non-nil, supplies precomputed dependence links for
-	// the trace (trace.ComputeProducers), letting callers that also run
-	// other simulators share one derivation. Must have exactly one entry
-	// per instruction; nil means compute them here (once per
-	// Characteristic call, shared across its window sizes).
-	Producers []trace.Producer
 }
 
-// unitLatencies is the all-ones table of the paper's idealized simulation,
-// built once instead of per window-size run.
+// unitLatencies is the all-ones table of the paper's idealized machine,
+// built once instead of per call.
 var unitLatencies = func() isa.LatencyTable {
 	var t isa.LatencyTable
 	for c := range t {
@@ -59,9 +86,8 @@ var unitLatencies = func() isa.LatencyTable {
 // log2(W) from 1 to 6.
 func DefaultWindows() []int { return []int{2, 4, 8, 16, 32, 64} }
 
-// Characteristic measures the IW curve of t at each window size. The
-// per-trace preparation (dependence links, scratch buffers) is shared
-// across the window sizes.
+// Characteristic measures the IW curve of t at each window size. Every
+// input is validated before any work is done.
 func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error) {
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("iw: empty trace %q", t.Name)
@@ -69,11 +95,13 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("iw: no window sizes given")
 	}
-	prod := opts.Producers
-	if prod == nil {
-		prod = trace.ComputeProducers(t)
-	} else if len(prod) != t.Len() {
-		return nil, fmt.Errorf("iw: %d producer links for %d instructions", len(prod), t.Len())
+	for _, w := range windows {
+		if w <= 0 {
+			return nil, fmt.Errorf("iw: window size %d must be positive", w)
+		}
+	}
+	if opts.IssueWidth < 0 {
+		return nil, fmt.Errorf("iw: issue width %d must not be negative", opts.IssueWidth)
 	}
 	lat := unitLatencies
 	if opts.Latencies != nil {
@@ -82,13 +110,18 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 			return nil, err
 		}
 	}
-	// finish is reused (re-zeroed) across the window sizes.
-	finish := make([]int64, t.Len())
-	points := make([]Point, 0, len(windows))
-	for i, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("iw: window size %d must be positive", w)
+	points := make([]Point, len(windows))
+	if opts.IssueWidth == 0 {
+		if err := closedForm(t, windows, lat, ringCap, points); err != nil {
+			return nil, err
 		}
+		return points, nil
+	}
+	// The width-capped simulation shares one dependence derivation and
+	// one scratch buffer across the window sizes.
+	prod := trace.ComputeProducers(t)
+	finish := make([]int64, t.Len())
+	for i, w := range windows {
 		if i > 0 {
 			clear(finish)
 		}
@@ -96,15 +129,110 @@ func Characteristic(t *trace.Trace, windows []int, opts Options) ([]Point, error
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, Point{W: w, I: ipc})
+		points[i] = Point{W: w, I: ipc}
 	}
 	return points, nil
 }
 
-// simulate runs the idealized window-limited simulation and returns the
-// average issue rate. prod and finish are supplied by Characteristic so
-// the six-window sweep shares one dependence derivation and one scratch
-// buffer; finish must be zeroed on entry.
+// windowState is one window size's share of the closed-form pass.
+type windowState struct {
+	w     int
+	x     int64 // W-th largest issue cycle so far (0 while fewer than W)
+	above int   // issues after cycle x; always below w between steps
+	last  int64 // latest issue cycle
+	// cnt[c & mask] counts the issues at cycle c, for c in (x, x+len(cnt)).
+	cnt  []int32
+	mask int64
+	// ready[regSlot(r)] is the cycle register r's value is ready. The
+	// RegNone slot stays 0; sinkSlot takes results with no destination.
+	ready [isa.NumArchRegs + 2]int64
+}
+
+// sinkSlot is the ready-table slot written by instructions without a
+// destination register; no source reads it.
+const sinkSlot = 0
+
+// regSlot maps a register to its ready-table slot: RegNone to 1, the
+// architectural registers above it.
+func regSlot(r int16) int { return int(r) + 2 }
+
+// ringCap caps the up-front span of a window's count ring; only extreme
+// latency tables grow past it.
+const ringCap = 1 << 16
+
+// closedForm fills points with the unbounded-width issue rate of t at
+// each window size, from one pass over the trace (see the package
+// comment). Each count ring starts sized for its W*maxLat bound, or
+// for capSpan if that is smaller.
+func closedForm(t *trace.Trace, windows []int, lat isa.LatencyTable, capSpan int64, points []Point) error {
+	maxLat := int64(1)
+	for _, l := range lat {
+		maxLat = max(maxLat, int64(l))
+	}
+	size := func(w int) int { return ringSize(min(min(int64(w), capSpan)*min(maxLat, capSpan), capSpan)) }
+	total := 0
+	for _, w := range windows {
+		total += size(w)
+	}
+	backing := make([]int32, total)
+	ws := make([]windowState, len(windows))
+	for k, w := range windows {
+		n := size(w)
+		ws[k] = windowState{w: w, cnt: backing[:n:n], mask: int64(n - 1)}
+		backing = backing[n:]
+	}
+	for i := range t.Instrs {
+		in := &t.Instrs[i]
+		l := int64(lat[in.Class])
+		src1, src2, dest := regSlot(in.Src1), regSlot(in.Src2), regSlot(in.Dest)
+		if in.Dest < 0 {
+			dest = sinkSlot
+		}
+		for k := range ws {
+			s := &ws[k]
+			ti := max(s.x+1, s.ready[src1], s.ready[src2])
+			s.ready[dest] = ti + l
+			s.last = max(s.last, ti)
+			if ti-s.x >= int64(len(s.cnt)) {
+				s.grow(ti)
+			}
+			s.cnt[ti&s.mask]++
+			s.above++
+			for s.above >= s.w {
+				s.x++
+				s.above -= int(s.cnt[s.x&s.mask])
+				s.cnt[s.x&s.mask] = 0
+			}
+		}
+	}
+	for k := range ws {
+		if ws[k].last <= 0 {
+			return fmt.Errorf("iw: degenerate simulation of %q", t.Name)
+		}
+		points[k] = Point{W: windows[k], I: float64(t.Len()) / float64(ws[k].last)}
+	}
+	return nil
+}
+
+// grow re-lays the counts into a ring that also holds cycle ti.
+func (s *windowState) grow(ti int64) {
+	cnt := make([]int32, ringSize(ti-s.x))
+	mask := int64(len(cnt) - 1)
+	for c := s.x + 1; c < s.x+int64(len(s.cnt)); c++ {
+		cnt[c&mask] = s.cnt[c&s.mask]
+	}
+	s.cnt, s.mask = cnt, mask
+}
+
+// ringSize is the smallest power of two above span.
+func ringSize(span int64) int {
+	return 1 << bits.Len64(uint64(span))
+}
+
+// simulate runs the idealized window-limited simulation cycle by cycle
+// and returns the average issue rate. prod and finish are supplied by
+// the caller so a sweep shares one dependence derivation and one
+// scratch buffer; finish must be zeroed on entry.
 func simulate(t *trace.Trace, window, issueWidth int, lat isa.LatencyTable,
 	prod []trace.Producer, finish []int64) (float64, error) {
 	n := t.Len()

@@ -6,6 +6,7 @@ import (
 
 	"fomodel/internal/isa"
 	"fomodel/internal/trace"
+	"fomodel/internal/workload"
 )
 
 // chainTrace builds n instructions where each depends on its predecessor:
@@ -95,6 +96,18 @@ func TestCharacteristicErrors(t *testing.T) {
 	bad := isa.LatencyTable{}
 	if _, err := Characteristic(chainTrace(10), []int{4}, Options{Latencies: &bad}); err == nil {
 		t.Fatal("invalid latency table accepted")
+	}
+	// Every window is checked before any pass over the trace: this
+	// trace's out-of-range register would panic a pass at W = 2.
+	unreadable := chainTrace(10)
+	unreadable.Instrs[5].Src1 = isa.NumArchRegs
+	for _, width := range []int{0, 4} {
+		if _, err := Characteristic(unreadable, []int{2, 0}, Options{IssueWidth: width}); err == nil {
+			t.Fatalf("width %d: window list with a zero accepted", width)
+		}
+	}
+	if _, err := Characteristic(chainTrace(10), []int{4}, Options{IssueWidth: -1}); err == nil {
+		t.Fatal("negative issue width accepted")
 	}
 }
 
@@ -226,4 +239,138 @@ func TestWidthCapWithLatencies(t *testing.T) {
 	if math.Abs(pts[0].I-4) > 0.1 {
 		t.Fatalf("pipelined mul throughput %v, want ~4", pts[0].I)
 	}
+}
+
+// oracle is the unbounded-width characteristic by cycle simulation, the
+// reference the closed form must match bit for bit.
+func oracle(t *trace.Trace, windows []int, lat isa.LatencyTable) ([]Point, error) {
+	prod := trace.ComputeProducers(t)
+	points := make([]Point, len(windows))
+	for i, w := range windows {
+		ipc, err := simulate(t, w, 0, lat, prod, make([]int64, t.Len()))
+		if err != nil {
+			return nil, err
+		}
+		points[i] = Point{W: w, I: ipc}
+	}
+	return points, nil
+}
+
+// checkAgainstOracle fails unless the closed form's points are the
+// oracle's, compared as float64 bits. It runs the closed form twice:
+// through Characteristic, and with two-slot starting rings, so that
+// every ring grows mid-pass and must keep its counts.
+func checkAgainstOracle(t *testing.T, tr *trace.Trace, windows []int, lat isa.LatencyTable) {
+	t.Helper()
+	want, err := oracle(tr, windows, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Characteristic(tr, windows, Options{Latencies: &lat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := make([]Point, len(windows))
+	if err := closedForm(tr, windows, lat, 1, grown); err != nil {
+		t.Fatal(err)
+	}
+	for _, pts := range [][]Point{got, grown} {
+		for i := range want {
+			if pts[i].W != want[i].W || math.Float64bits(pts[i].I) != math.Float64bits(want[i].I) {
+				t.Fatalf("%s (%d instrs, latencies %v): W=%d closed form %v (%#x), simulation %v (%#x)",
+					tr.Name, tr.Len(), lat, want[i].W, pts[i].I, math.Float64bits(pts[i].I),
+					want[i].I, math.Float64bits(want[i].I))
+			}
+		}
+	}
+}
+
+// TestClosedFormMatchesSimulation is the closed form's property test:
+// on every benchmark, two seeds, window sizes from 1 to 128, and unit
+// and default latencies, it gives the cycle simulation's exact IPC.
+func TestClosedFormMatchesSimulation(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 4000
+	}
+	windows := []int{1, 2, 3, 4, 8, 16, 32, 64, 128}
+	for _, name := range workload.Names() {
+		for _, seed := range []uint64{1, 4242} {
+			tr, err := workload.Generate(name, n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, tr, windows, unitLatencies)
+			checkAgainstOracle(t, tr, windows, isa.DefaultLatencies())
+		}
+	}
+}
+
+// TestClosedFormRingGrowth drives a latency far beyond the up-front ring
+// cap, so Characteristic's own rings grow mid-pass.
+func TestClosedFormRingGrowth(t *testing.T) {
+	tr := chainTrace(8)
+	tr.Instrs = append(tr.Instrs, independentTrace(8).Instrs...)
+	tr.Instrs = append(tr.Instrs, chainTrace(8).Instrs...)
+	lat := unitLatencies
+	lat[isa.ALU] = 1 << 17
+	checkAgainstOracle(t, tr, []int{1, 2, 3, 64, 128}, lat)
+}
+
+// TestClosedFormAllocsFlat gates the closed form's allocations: a fixed
+// handful per call (points, window states, count rings), the same at
+// 2000 and 20000 instructions.
+func TestClosedFormAllocsFlat(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{2000, 20000} {
+		tr, err := workload.Generate("gzip", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := Characteristic(tr, DefaultWindows(), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] > 3 {
+		t.Fatalf("allocs per call at n=2000, 20000: %v, want equal and ≤ 3", counts)
+	}
+}
+
+// FuzzCharacteristicClosedForm checks the closed form against the cycle
+// simulation on arbitrary small traces: four bytes per instruction pick
+// its class and its destination and source registers (RegNone, and 16
+// registers at both ends of the namespace so dependences are dense),
+// lats picks a valid latency table and window the window size.
+func FuzzCharacteristicClosedForm(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 1, 2, 1, 0, 2, 3, 2, 1, 3, 1, 3, 2}, uint64(0), uint8(2))
+	f.Add([]byte{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, uint64(0x0b030c0401020304), uint8(3))
+	f.Add([]byte{2, 0, 0, 0, 2, 1, 1, 1, 2, 2, 2, 2, 1, 3, 2, 1}, uint64(0xffffffffffffffff), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, lats uint64, window uint8) {
+		reg := func(b byte) int16 {
+			r := int16(b%9) - 1
+			if r >= 0 && b >= 128 {
+				r += isa.NumArchRegs - 8
+			}
+			return r
+		}
+		tr := &trace.Trace{Name: "fuzz"}
+		for i := 0; i+4 <= len(data) && tr.Len() < 512; i += 4 {
+			tr.Instrs = append(tr.Instrs, trace.Instruction{
+				Class: isa.Class(data[i] % byte(isa.NumClasses)),
+				Dest:  reg(data[i+1]),
+				Src1:  reg(data[i+2]),
+				Src2:  reg(data[i+3]),
+			})
+		}
+		if tr.Len() == 0 {
+			return
+		}
+		var lat isa.LatencyTable
+		for c := range lat {
+			lat[c] = 1 + int(lats>>(8*c)&31)
+		}
+		checkAgainstOracle(t, tr, []int{1 + int(window%160)}, lat)
+	})
 }
